@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 shambench/run.py --workload zone_bulk --seed 1 --seconds 25 --trace 0
+    python3 shambench/run.py --workload zone_bulk --seed 1 --seconds 50 --trace 0
 
 Builds the `shambench` package (release, offline), generates the
 workload's inputs from the seed, then measures for `--seconds` seconds.
@@ -15,8 +15,9 @@ line is the JSON result; the lines before it name every metric with its
 unit, the oracle outcome, hung passes and the machine fingerprint.
 
 Zone workloads run scan passes only; feed_churn alternates scan and
-feed passes. With `--trace 1` one traced child replays the inputs through
-each layer and reports the per-layer metrics instead. See METRICS.md.
+feed passes; it is not in BENCHMARK.json (see METRICS.md). With
+`--trace 1` one traced child replays the inputs through each layer and
+reports the per-layer metrics instead. See METRICS.md.
 """
 
 import argparse
@@ -53,6 +54,9 @@ TRACE_LIMIT_S = 75.0
 # starts later than LAST_CHILD_S before that.
 RUN_LIMIT_S = 170.0
 LAST_CHILD_S = 40.0
+# Slowest scan passes set aside before taking the run's scan rate: a lone
+# pass can stall on a momentary hiccup of the host (see METRICS.md).
+SCAN_OUTLIERS = 2
 
 
 def log(msg):
@@ -160,6 +164,7 @@ class Tally:
         self.work = {"scan": 0, "feed": 0}
         self.churn_ms = []
         self.durations = {"scan": [], "feed": []}
+        self.scan_rates = []
         self.attempted = 0
         self.failed = 0
         self.hung = {"scan": 0, "feed": 0}
@@ -184,6 +189,7 @@ class Tally:
             self.errors.extend(line["errors"])
         if phase == "scan":
             self.work["scan"] += line["bytes"]
+            self.scan_rates.append(line["bytes"] / 1e6 / line["seconds"])
         else:
             self.work["feed"] += line["registrations"]
             self.churn_ms.extend(line["churn_ms"])
@@ -191,17 +197,23 @@ class Tally:
     def metrics(self):
         """Every metric with at least one sample: name -> (value, unit, basis).
 
-        Throughputs are the run's total work over its total pass time;
-        churn latencies are percentiles over every churn of the run;
-        set-up time and peak RSS are medians."""
+        Scan throughput is the rate every scan pass of the run reached
+        but the SCAN_OUTLIERS slowest; feed throughput is the run's total
+        work over its total pass time; churn latencies are percentiles
+        over every churn of the run; set-up time and peak RSS are
+        medians."""
         out = {}
         scan_s, feed_s = sum(self.durations["scan"]), sum(self.durations["feed"])
         if self.setups:
             out["setup_s"] = (statistics.median(self.setups), "s",
                               f"median of {len(self.setups)} set-ups")
         if scan_s:
-            out["scan_mb_per_s"] = (self.work["scan"] / 1e6 / scan_s, "MB/s",
-                                    f"{self.passes['scan']} passes, {scan_s:.2f} s")
+            mean = self.work["scan"] / 1e6 / scan_s
+            rates = sorted(self.scan_rates)
+            rank = min(SCAN_OUTLIERS, len(rates) - 1)
+            out["scan_mb_per_s"] = (rates[rank], "MB/s",
+                                    f"slowest of {len(rates)} passes but {rank}; all passes: "
+                                    f"{mean:.4g} MB/s over {scan_s:.2f} s")
         if self.rss_mb:
             out["peak_rss_mb"] = (statistics.median(self.rss_mb), "MB",
                                   f"median of {len(self.rss_mb)} children")
@@ -283,6 +295,7 @@ def measure(binary, data, seconds, feed, prepared, hard_deadline):
     print(f"machine: nproc {prepared['nproc']}, threads {sorted(tally.threads)}, "
           f"frame.floor_mb_per_s {prepared['frame_floor_mb_per_s']}, "
           f"calib_mops {prepared['calib_mops']}")
+    print("scan passes (MB/s, in order): " + " ".join(f"{r:.2f}" for r in tally.scan_rates))
     values = tally.metrics()
     for name, (value, unit, basis) in values.items():
         print(f"{name} = {value:.6g} {unit} ({basis})")
