@@ -527,6 +527,11 @@ impl IngestService {
                 Action::Done => break,
                 Action::Churn { added, removed, applied } => {
                     router.apply_reference_diff(&added, &removed);
+                    // Publish under the lock: `submit_churn` checks the
+                    // flag and waits while holding it, so an unlocked
+                    // store + notify could land between its check and
+                    // its wait and be lost.
+                    let _inner = shared.lock();
                     applied.store(true, Ordering::Release);
                     shared.space.notify_all();
                 }

@@ -62,6 +62,26 @@ struct RouterLane {
     tld: String,
     session: DetectorSession,
     pending: Vec<DomainName>,
+    /// Registrations routed here since the last flush: `pending` plus
+    /// the non-IDNs [`SessionRouter::count_non_idn`] counted without
+    /// buffering. The flush trigger, so a lane flushes at the same
+    /// points whichever way its registrations arrive.
+    since_flush: usize,
+}
+
+impl RouterLane {
+    fn new(tld: String, session: DetectorSession) -> Self {
+        RouterLane { tld, session, pending: Vec::new(), since_flush: 0 }
+    }
+
+    /// Hands the buffered registrations to the session as one batch.
+    fn flush(&mut self) {
+        if !self.pending.is_empty() {
+            self.session.push_domains(self.pending.iter());
+            self.pending.clear();
+        }
+        self.since_flush = 0;
+    }
 }
 
 /// One TLD's slice of a [`RouterReport`].
@@ -213,11 +233,7 @@ impl SessionRouter {
             let tld = tld.into();
             if let Err(at) = self.lane_position(&tld) {
                 let session = self.open_session(&tld);
-                self.lanes.insert(at, RouterLane {
-                    tld: tld.clone(),
-                    session,
-                    pending: Vec::new(),
-                });
+                self.lanes.insert(at, RouterLane::new(tld.clone(), session));
             }
             allowed.push(tld);
         }
@@ -343,6 +359,23 @@ impl SessionRouter {
         }
     }
 
+    /// The lane a domain of `tld` joins, opened on first sight if the
+    /// lane set permits it; `None` (counted unrouted) otherwise.
+    fn route(&mut self, tld: &str) -> Option<usize> {
+        match self.lane_position(tld) {
+            Ok(at) => Some(at),
+            Err(at) if self.lane_permitted(tld) => {
+                let session = self.open_session(tld);
+                self.lanes.insert(at, RouterLane::new(tld.to_string(), session));
+                Some(at)
+            }
+            Err(_) => {
+                self.unrouted += 1;
+                None
+            }
+        }
+    }
+
     /// Routes one slice of the interleaved feed: each domain joins its
     /// TLD's lane (opened on first sight unless the lane set is fixed),
     /// and any lane whose buffer reaches capacity flushes as one batch.
@@ -354,35 +387,44 @@ impl SessionRouter {
         // any capacity (see `batching_is_unobservable`).
         let capacity = crate::sched::flush_capacity(self.batch_capacity);
         for domain in domains {
-            let at = match self.lane_position(domain.tld()) {
-                Ok(at) => at,
-                Err(at) if self.lane_permitted(domain.tld()) => {
-                    let tld = domain.tld().to_string();
-                    let session = self.open_session(&tld);
-                    self.lanes.insert(at, RouterLane { tld, session, pending: Vec::new() });
-                    at
-                }
-                Err(_) => {
-                    self.unrouted += 1;
-                    continue;
-                }
-            };
+            let Some(at) = self.route(domain.tld()) else { continue };
             let lane = &mut self.lanes[at];
             lane.pending.push(domain.clone());
-            if lane.pending.len() >= capacity {
-                lane.session.push_domains(lane.pending.iter());
-                lane.pending.clear();
+            lane.since_flush += 1;
+            if lane.since_flush >= capacity {
+                lane.flush();
             }
+        }
+    }
+
+    /// Routes one registration that carries no `xn--` label without
+    /// buffering or cloning it: the router's books end up exactly as
+    /// if it went through [`push_domains`](Self::push_domains) — its
+    /// own TLD's lane opens (or, outside a fixed lane set, it counts
+    /// as unrouted), the lane's session counts one more domain (see
+    /// [`DetectorSession::count_non_idn`]), and it advances the
+    /// lane's flush trigger. Only a lane poisoned before its next
+    /// flush can tell the difference: the count is already durable,
+    /// where a buffered name would have been discarded.
+    ///
+    /// The batch scanner routes every ASCII owner this way, so only
+    /// IDNs are ever cloned into a lane.
+    pub fn count_non_idn(&mut self, domain: &DomainName) {
+        debug_assert!(!domain.is_idn(), "{domain} is an IDN; route it with push_domains");
+        let Some(at) = self.route(domain.tld()) else { return };
+        let capacity = crate::sched::flush_capacity(self.batch_capacity);
+        let lane = &mut self.lanes[at];
+        lane.session.count_non_idn();
+        lane.since_flush += 1;
+        if lane.since_flush >= capacity {
+            lane.flush();
         }
     }
 
     /// Flushes every lane's pending registrations through its session.
     pub fn flush(&mut self) {
         for lane in &mut self.lanes {
-            if !lane.pending.is_empty() {
-                lane.session.push_domains(lane.pending.iter());
-                lane.pending.clear();
-            }
+            lane.flush();
         }
     }
 
@@ -408,10 +450,7 @@ impl SessionRouter {
     pub fn fold_lane(&mut self, tld: &str) -> bool {
         let Ok(at) = self.lane_position(tld) else { return false };
         let mut lane = self.lanes.remove(at);
-        if !lane.pending.is_empty() {
-            lane.session.push_domains(lane.pending.iter());
-            lane.pending.clear();
-        }
+        lane.flush();
         self.folded.push(TldReport { tld: lane.tld, report: lane.session.into_report() });
         true
     }
@@ -653,6 +692,46 @@ mod tests {
         assert_eq!(com.report.total_domains, 3, "2 banked + 1 reopened, 2 dropped");
         assert_eq!(com.report.detections.len(), 2);
         assert_eq!(report.unrouted_domains, 1, ".xyz stays outside the fixed set");
+    }
+
+    #[test]
+    fn counting_non_idns_equals_pushing_them() {
+        let index = shared_index(&["google", "paypal"]);
+        let feed: Vec<DomainName> = (0..60)
+            .map(|i| match i % 5 {
+                0 => name("xn--ggle-55da.com"),
+                1 => name("ordinary.com"),
+                2 => name("foreign.net"),
+                3 => name("xn--pypal-4ve.org"),
+                _ => name("plain.org"),
+            })
+            .collect();
+        for lanes in [None, Some(["com", "org"])] {
+            let open = || {
+                let router = SessionRouter::new(Arc::clone(&index)).with_batch_capacity(3);
+                match lanes {
+                    Some(tlds) => router.with_tlds(tlds),
+                    None => router,
+                }
+            };
+            let mut pushed = open();
+            pushed.push_domains(&feed);
+            let mut counted = open();
+            for domain in &feed {
+                if domain.is_idn() {
+                    counted.push_domains(std::iter::once(domain));
+                } else {
+                    counted.count_non_idn(domain);
+                }
+            }
+            let (pushed, counted) = (pushed.into_report(), counted.into_report());
+            assert_eq!(counted, pushed, "lanes {lanes:?}");
+            // Same flush points, so the same detection batches.
+            assert_eq!(counted.exec(), pushed.exec(), "lanes {lanes:?}");
+            assert_eq!(counted.total_domains(), 60);
+            let unrouted = if lanes.is_some() { 12 } else { 0 };
+            assert_eq!(counted.unrouted_domains, unrouted, ".net is outside the fixed set");
+        }
     }
 
     #[test]

@@ -5,13 +5,18 @@
 //!
 //! ```text
 //!  reader thread          calling thread
-//!  ┌───────────┐  full   ┌───────────────────────────────────────┐
-//!  │ chunked   │ ──────▶ │ byte-level line split (SWAR newline)  │
-//!  │ File reads│  chunks │   └▶ ZoneStreamParser::scan_line      │
-//!  │ recycled  │ ◀────── │       └▶ dedup (consecutive + window) │
-//!  │ buffers   │  free   │           └▶ blacklist suffix filter  │
-//!  └───────────┘  buffers│               └▶ SessionRouter batches│
-//!                        └───────────────────────────────────────┘
+//!  ┌───────────┐  full   ┌────────────────────────────────────────────┐
+//!  │ chunked   │ ──────▶ │ byte-level line split (SWAR newline)       │
+//!  │ File reads│  chunks │   └▶ ZoneStreamParser::scan_line           │
+//!  │ recycled  │ ◀────── │       (ASCII byte lexer; Unicode fallback) │
+//!  │ buffers   │  free   │       └▶ dedup (consecutive + window)      │
+//!  └───────────┘  buffers│           └▶ blacklist suffix filter       │
+//!                        │               └▶ IDN prefilter             │
+//!                        │                   ├ xn-- owner: clone once │
+//!                        │                   │  into its router lane  │
+//!                        │                   └ other owner: counted   │
+//!                        │                      (count_non_idn)       │
+//!                        └────────────────────────────────────────────┘
 //! ```
 //!
 //! * **Overlapped I/O** — a reader thread fills large recycled buffers
@@ -19,24 +24,42 @@
 //!   parsing/detection and the parser never waits on a warm file
 //!   (double-buffered: while one chunk is being scanned the next is
 //!   being read).
-//! * **Allocation-conscious scanning** — lines are split with a
-//!   word-at-a-time newline scan over the chunk bytes and fed to
-//!   [`ZoneStreamParser::scan_line`], which yields *borrowed* owner
-//!   names; nothing is allocated for skipped, malformed, deduplicated
-//!   or blacklisted lines. Only domains that survive the pre-stage are
-//!   cloned into a router batch.
+//! * **Allocation-free lexing** — lines are split with a word-at-a-time
+//!   newline scan over the chunk bytes and fed to
+//!   [`ZoneStreamParser::scan_line`]. An all-ASCII line (every line of
+//!   a real zone dump) is tokenised on its bytes; a line with any other
+//!   byte falls back to `split_whitespace`, so Unicode whitespace
+//!   separates fields exactly as before. A new owner is resolved into
+//!   the parser's retained name buffer and NS/CNAME/MX targets are
+//!   validated into a reused slot, so once those buffers are warm a
+//!   well-formed ASCII line allocates nothing (pinned by
+//!   `crates/dns/tests/zone_alloc.rs`). Owners come back *borrowed*.
 //! * **Pre-detection dedup** — zone dumps repeat each owner once per
 //!   record (NS runs, glue); the scanner drops consecutive repeats for
 //!   free (the parser's owner cache flags them) and catches
 //!   out-of-order repeats with a bounded hash window.
+//! * **IDN prefilter** — only an owner with an `xn--` label can be a
+//!   homograph (the paper's Step 2), and in a `.com` dump that is about
+//!   one owner in 200. An IDN owner that survives dedup and the
+//!   blacklist is cloned exactly once, into its TLD's router lane
+//!   batch. Every other owner is only counted:
+//!   [`SessionRouter::count_non_idn`] opens the owner's own TLD lane
+//!   (or counts it unrouted under a fixed lane set), adds it to the
+//!   lane's domain total and advances the lane's flush trigger — the
+//!   same books, and the same detection batches, a push of every owner
+//!   would give. Nothing is allocated per non-IDN owner.
 //! * **Accounting invariant** — every parsed line is accounted for:
 //!   `records + quarantined == routed + deduped + blacklisted +
 //!   quarantined` per TLD ([`TldScanStats::is_accounted`]); the CLI and
-//!   tests close the books on it.
+//!   tests close the books on it. `routed` counts every owner entered
+//!   into the router's books, IDN or not, so summed over all files it
+//!   still equals the router's `total_domains()` and the identity needs
+//!   no separate term for the counted-only owners.
 //!
-//! Batches flush into the [`SessionRouter`] at the occupancy-adaptive
-//! [`flush_capacity`](crate::sched) mark — the same PR 9 policy the
-//! ingest front-end uses, read once per flush, never per domain.
+//! Lane batches flush at the router's occupancy-adaptive
+//! [`flush_capacity`](crate::sched) mark, counted in owners routed to
+//! the lane, IDN or not — so detection batches are the ones a push of
+//! every owner would cut.
 
 use crate::router::{RouterReport, SessionRouter};
 use sham_dns::zone::{ZoneScan, ZoneStreamParser};
@@ -62,8 +85,11 @@ pub struct ScanConfig {
     /// remembered (default 8192; 0 disables the window — consecutive
     /// dedup still applies).
     pub dedup_window: usize,
-    /// Router batch size the pre-stage buffers toward; the effective
-    /// flush mark adapts to pool occupancy (see [`crate::sched`]).
+    /// Not read by the scanner: it keeps no batch of its own (IDN
+    /// owners go straight into their router lane, every other owner is
+    /// only counted), so lane batching is the router's
+    /// [`with_batch_capacity`](SessionRouter::with_batch_capacity).
+    /// Kept so existing `ScanConfig` literals still compile.
     pub batch_capacity: usize,
     /// Cap on quarantined-line samples kept for the report.
     pub quarantine_samples: usize,
@@ -103,7 +129,9 @@ pub struct TldScanStats {
     pub dedup_window: u64,
     /// Records dropped by a blacklist suffix match.
     pub blacklisted: u64,
-    /// Owners handed to the router for detection.
+    /// Owners entered into the router's books — IDN or not. IDNs join
+    /// a lane batch for detection; every other owner is counted by
+    /// [`SessionRouter::count_non_idn`] without being cloned.
     pub routed: u64,
     /// Wall-clock seconds spent scanning this TLD's files.
     pub elapsed_secs: f64,
@@ -245,9 +273,8 @@ pub struct ZoneScanner {
 }
 
 impl ZoneScanner {
-    /// Wraps a configured router. The router's own batch capacity is
-    /// respected; the scanner's `config.batch_capacity` governs the
-    /// pre-stage buffer it pushes from.
+    /// Wraps a configured router; its lane set and batch capacity
+    /// govern routing and detection batches.
     pub fn new(router: SessionRouter, config: ScanConfig) -> Self {
         ZoneScanner {
             router,
@@ -285,7 +312,6 @@ impl ZoneScanner {
         }
 
         let mut parser = ZoneStreamParser::new(tld);
-        let mut pending: Vec<DomainName> = Vec::new();
         let mut file_stats = TldScanStats::default();
         let mut carry: Vec<u8> = Vec::new();
 
@@ -324,7 +350,7 @@ impl ZoneScanner {
                     match find_newline(rest) {
                         Some(nl) => {
                             carry.extend_from_slice(&rest[..nl]);
-                            self.process_line(&mut parser, &mut pending, &mut file_stats, &carry);
+                            self.process_line(&mut parser, &mut file_stats, &carry);
                             carry.clear();
                             rest = &rest[nl + 1..];
                         }
@@ -336,7 +362,7 @@ impl ZoneScanner {
                     }
                 }
                 while let Some(nl) = find_newline(rest) {
-                    self.process_line(&mut parser, &mut pending, &mut file_stats, &rest[..nl]);
+                    self.process_line(&mut parser, &mut file_stats, &rest[..nl]);
                     rest = &rest[nl + 1..];
                 }
                 carry.extend_from_slice(rest);
@@ -348,10 +374,7 @@ impl ZoneScanner {
         // A final unterminated line still counts.
         if result.is_ok() && !carry.is_empty() {
             let line = std::mem::take(&mut carry);
-            self.process_line(&mut parser, &mut pending, &mut file_stats, &line);
-        }
-        if !pending.is_empty() {
-            self.router.push_domains(&pending);
+            self.process_line(&mut parser, &mut file_stats, &line);
         }
         file_stats.elapsed_secs = started.elapsed().as_secs_f64();
         self.stats.entry(tld.to_string()).or_default().merge(&file_stats);
@@ -363,11 +386,11 @@ impl ZoneScanner {
         result
     }
 
-    /// One raw line through scan → dedup → blacklist → router batch.
+    /// One raw line through scan → dedup → blacklist → IDN prefilter →
+    /// router.
     fn process_line(
         &mut self,
         parser: &mut ZoneStreamParser,
-        pending: &mut Vec<DomainName>,
         stats: &mut TldScanStats,
         raw: &[u8],
     ) {
@@ -422,13 +445,15 @@ impl ZoneScanner {
                     stats.blacklisted += 1;
                     return;
                 }
+                // IDN prefilter: only an `xn--` owner can be a
+                // homograph, and only it is cloned (once, into its
+                // lane's batch). Any other owner is counted into the
+                // router's books exactly as a push would count it.
                 stats.routed += 1;
-                pending.push(owner.clone());
-                // Occupancy-adaptive flush mark, read per flush — the
-                // PR 9 policy seam (never per domain).
-                if pending.len() >= crate::sched::flush_capacity(self.config.batch_capacity) {
-                    self.router.push_domains(pending.iter());
-                    pending.clear();
+                if owner.is_idn() {
+                    self.router.push_domains(std::iter::once(owner));
+                } else {
+                    self.router.count_non_idn(owner);
                 }
             }
         }

@@ -185,6 +185,14 @@ impl DetectorSession {
         self.batch = batch;
     }
 
+    /// Counts one registration that carries no `xn--` label: exactly
+    /// what [`push_domains`](Self::push_domains) does with such a name
+    /// (it joins the corpus total and nothing else), without handing
+    /// over the name.
+    pub fn count_non_idn(&mut self) {
+        self.total_domains += 1;
+    }
+
     /// Feeds one batch of pre-extracted IDNs `(unicode stem, full ACE
     /// name)` — a registration stream that is already IDN-only. Each
     /// entry counts as one domain and one IDN.

@@ -72,18 +72,74 @@ fn err(line: usize, message: impl Into<String>) -> ZoneError {
     ZoneError { line, message: message.into() }
 }
 
-/// Resolves an owner-name token against the origin.
-fn resolve_name(token: &str, origin: &str, line: usize) -> Result<DomainName, ZoneError> {
-    let full = if token == "@" {
-        origin.to_string()
+/// The presentation name `token` denotes under `origin`: the origin
+/// for `@`, the token minus its root dot when absolute, the token
+/// itself under an empty origin, else `token.origin` — built in `buf`
+/// (a reused buffer) only in that last case.
+fn full_name<'a>(token: &'a str, origin: &'a str, buf: &'a mut String) -> &'a str {
+    if token == "@" {
+        origin
     } else if let Some(absolute) = token.strip_suffix('.') {
-        absolute.to_string()
+        absolute
     } else if origin.is_empty() {
-        token.to_string()
+        token
     } else {
-        format!("{token}.{origin}")
-    };
-    DomainName::parse(&full).map_err(|e| err(line, format!("bad name {token:?}: {e}")))
+        buf.clear();
+        buf.push_str(token);
+        buf.push('.');
+        buf.push_str(origin);
+        buf
+    }
+}
+
+fn bad_name(line: usize, token: &str, e: sham_punycode::PunycodeError) -> ZoneError {
+    err(line, format!("bad name {token:?}: {e}"))
+}
+
+/// Resolves `full` into `slot`, reusing the name buffer it already
+/// holds (see [`DomainName::assign`]). On `Err` the slot is unchanged.
+fn assign_name(
+    slot: &mut Option<DomainName>,
+    full: &str,
+) -> Result<(), sham_punycode::PunycodeError> {
+    match slot {
+        Some(name) => name.assign(full),
+        None => {
+            *slot = Some(DomainName::parse(full)?);
+            Ok(())
+        }
+    }
+}
+
+/// The ASCII bytes `char::is_whitespace` accepts: space, `\t`, `\n`,
+/// VT, FF and `\r`. (`u8::is_ascii_whitespace` omits VT.)
+#[inline]
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | 0x0B | 0x0C | b'\r')
+}
+
+/// Whitespace-separated tokens of an all-ASCII line, split on bytes —
+/// the same tokens `str::split_whitespace` yields for such a line,
+/// without decoding characters.
+struct AsciiTokens<'a> {
+    rest: &'a str,
+}
+
+impl<'a> Iterator for AsciiTokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let bytes = self.rest.as_bytes();
+        let start = bytes.iter().position(|&b| !is_ascii_space(b))?;
+        let end = bytes[start..]
+            .iter()
+            .position(|&b| is_ascii_space(b))
+            .map_or(bytes.len(), |n| start + n);
+        // ASCII only, so every byte offset is a char boundary.
+        let token = &self.rest[start..end];
+        self.rest = &self.rest[end..];
+        Some(token)
+    }
 }
 
 struct LineParser {
@@ -97,6 +153,11 @@ struct LineParser {
     /// so this is the per-line hot path. Cleared when `$ORIGIN`
     /// changes (the same token would resolve differently).
     last_owner_token: String,
+    /// Reused buffer for relative names joined to the origin.
+    name_buf: String,
+    /// Reused landing slot for NS/CNAME/MX targets the scan path
+    /// validates but never hands out.
+    target: Option<DomainName>,
 }
 
 impl LineParser {
@@ -106,6 +167,8 @@ impl LineParser {
             default_ttl: 86_400,
             last_owner: None,
             last_owner_token: String::new(),
+            name_buf: String::new(),
+            target: None,
         }
     }
 
@@ -126,8 +189,8 @@ impl LineParser {
     }
 
     /// The shared line machine behind [`LineParser::parse_line`] and
-    /// the allocation-conscious scan path: validates the line exactly
-    /// like a full parse (same accept/reject decisions, same error
+    /// the allocation-free scan path: validates the line exactly like
+    /// a full parse (same accept/reject decisions, same error
     /// messages) and tracks the owner state, but materialises
     /// [`RecordData`] only when `want_data` is set. Returns `None` for
     /// directives and `Some((owner_changed, ttl, data))` for records;
@@ -161,12 +224,32 @@ impl LineParser {
         }
 
         let starts_with_space = line.starts_with(' ') || line.starts_with('\t');
-        let mut tokens = line.split_whitespace().peekable();
+        // Zone dumps are ASCII: split those lines on bytes. A line with
+        // any other byte keeps `split_whitespace`, so Unicode
+        // whitespace separates tokens exactly as it always has.
+        let record = if line.is_ascii() {
+            self.scan_record(AsciiTokens { rest: line }, starts_with_space, no, want_data)
+        } else {
+            self.scan_record(line.split_whitespace(), starts_with_space, no, want_data)
+        };
+        record.map(Some)
+    }
+
+    /// The record half of [`LineParser::scan_line`], over the line's
+    /// whitespace-separated tokens.
+    fn scan_record<'l>(
+        &mut self,
+        tokens: impl Iterator<Item = &'l str>,
+        starts_with_space: bool,
+        no: usize,
+        want_data: bool,
+    ) -> Result<(bool, u32, Option<RecordData>), ZoneError> {
+        let mut tokens = tokens.peekable();
 
         // Owner: blank-led lines reuse the previous owner; a repeated
-        // owner token reuses the previous resolution without
-        // allocating (the dominant case — records arrive in
-        // per-owner runs).
+        // owner token reuses the previous resolution (the dominant
+        // case — records arrive in per-owner runs); a new owner is
+        // resolved into the retained name buffer.
         let owner_changed = if starts_with_space {
             if self.last_owner.is_none() {
                 return Err(err(no, "continuation line with no previous owner"));
@@ -177,8 +260,8 @@ impl LineParser {
             if self.last_owner.is_some() && tok == self.last_owner_token {
                 false
             } else {
-                let owner = resolve_name(tok, &self.origin, no)?;
-                self.last_owner = Some(owner);
+                let full = full_name(tok, &self.origin, &mut self.name_buf);
+                assign_name(&mut self.last_owner, full).map_err(|e| bad_name(no, tok, e))?;
                 self.last_owner_token.clear();
                 self.last_owner_token.push_str(tok);
                 true
@@ -216,13 +299,11 @@ impl LineParser {
             }
             RecordType::Ns => {
                 let t = tokens.next().ok_or_else(|| err(no, "NS record missing target"))?;
-                let target = resolve_name(t, &self.origin, no)?;
-                want_data.then_some(RecordData::Ns(target))
+                self.target_name(t, no, want_data)?.map(RecordData::Ns)
             }
             RecordType::Cname => {
                 let t = tokens.next().ok_or_else(|| err(no, "CNAME missing target"))?;
-                let target = resolve_name(t, &self.origin, no)?;
-                want_data.then_some(RecordData::Cname(target))
+                self.target_name(t, no, want_data)?.map(RecordData::Cname)
             }
             RecordType::Mx => {
                 let pref = tokens
@@ -231,8 +312,8 @@ impl LineParser {
                     .parse()
                     .map_err(|e| err(no, format!("bad MX preference: {e}")))?;
                 let t = tokens.next().ok_or_else(|| err(no, "MX missing exchange"))?;
-                let exchange = resolve_name(t, &self.origin, no)?;
-                want_data.then_some(RecordData::Mx { preference: pref, exchange })
+                self.target_name(t, no, want_data)?
+                    .map(|exchange| RecordData::Mx { preference: pref, exchange })
             }
             // TXT payloads cannot fail validation; the scan path skips
             // the join entirely (no per-line String).
@@ -242,7 +323,25 @@ impl LineParser {
                 RecordData::Txt(joined.trim_matches('"').to_string())
             }),
         };
-        Ok(Some((owner_changed, ttl, data)))
+        Ok((owner_changed, ttl, data))
+    }
+
+    /// Resolves an NS/CNAME/MX target token: an owned name when
+    /// `want_data`, otherwise validated into the reused target slot
+    /// and not handed out (`Ok(None)`).
+    fn target_name(
+        &mut self,
+        token: &str,
+        no: usize,
+        want_data: bool,
+    ) -> Result<Option<DomainName>, ZoneError> {
+        let full = full_name(token, &self.origin, &mut self.name_buf);
+        let resolved = if want_data {
+            DomainName::parse(full).map(Some)
+        } else {
+            assign_name(&mut self.target, full).map(|()| None)
+        };
+        resolved.map_err(|e| bad_name(no, token, e))
     }
 }
 
@@ -268,6 +367,11 @@ pub enum ZoneScan<'a> {
 }
 
 fn strip_comment(line: &str) -> &str {
+    // Most lines hold no ';' at all, and then quotes cannot matter:
+    // one memchr-backed probe settles them.
+    if !line.as_bytes().contains(&b';') {
+        return line;
+    }
     // A ';' inside a quoted TXT string is data, not a comment.
     let mut in_quotes = false;
     for (idx, c) in line.char_indices() {
@@ -335,8 +439,11 @@ impl ZoneStreamParser {
     /// are identical to `push_line` — the batch scanner and the strict
     /// parser classify every line the same way.
     ///
-    /// On the dominant zone-dump shape (runs of records per owner) a
-    /// well-formed `A` line allocates nothing at all.
+    /// Once the parser's name buffers have grown to fit the longest
+    /// names seen, a well-formed all-ASCII line allocates nothing — a
+    /// new owner is resolved into the retained owner name and NS,
+    /// CNAME and MX targets are validated into a reused slot.
+    /// Rejected lines allocate their error message.
     pub fn scan_line(&mut self, raw: &str) -> Result<ZoneScan<'_>, ZoneError> {
         self.line_no += 1;
         let line = strip_comment(raw);

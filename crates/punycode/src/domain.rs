@@ -27,19 +27,29 @@ impl DomainName {
     /// is validated against DNS length limits. A single trailing dot
     /// (root) is accepted and dropped.
     pub fn parse(input: &str) -> Result<Self, PunycodeError> {
-        let trimmed = input.strip_suffix('.').unwrap_or(input);
-        if trimmed.is_empty() {
-            return Err(PunycodeError::EmptyLabel);
-        }
-        let mut labels = Vec::new();
-        for raw in trimmed.split('.') {
-            labels.push(ace::to_ascii(raw)?);
-        }
-        let ascii = labels.join(".");
-        if ascii.len() > MAX_NAME_OCTETS {
-            return Err(PunycodeError::NameTooLong(ascii.len()));
-        }
+        let mut ascii = String::with_capacity(input.len());
+        push_ace(&mut ascii, input)?;
         Ok(DomainName { ascii })
+    }
+
+    /// Re-parses this name in place from `input`, reusing its buffer:
+    /// the same `Ok`/`Err` as [`DomainName::parse`], but once the buffer
+    /// has grown to fit the longest name seen, an all-ASCII input
+    /// allocates nothing. On `Err` the name is left unchanged.
+    pub fn assign(&mut self, input: &str) -> Result<(), PunycodeError> {
+        // The new name is built after the current one and shifted down
+        // on success, so a rejected input never clobbers a valid name.
+        let old = self.ascii.len();
+        match push_ace(&mut self.ascii, input) {
+            Ok(()) => {
+                self.ascii.drain(..old);
+                Ok(())
+            }
+            Err(e) => {
+                self.ascii.truncate(old);
+                Err(e)
+            }
+        }
     }
 
     /// The full name in ACE form (`xn--…` labels, lowercase).
@@ -107,6 +117,55 @@ impl DomainName {
         }
         Some(out.join("."))
     }
+}
+
+/// Appends the ACE form of `input` to `out`: the single validator
+/// behind [`DomainName::parse`] and [`DomainName::assign`].
+///
+/// Labels are checked left to right and the whole name last, so the
+/// first bad label decides the error. An all-ASCII name (every zone
+/// file owner) takes one validating pass over its bytes and one
+/// lowercasing copy — what [`ace::to_ascii`] does to each of its
+/// labels, without the per-label strings. Any other name converts
+/// label by label through `to_ascii`. On `Err`, `out` may hold a
+/// partial name.
+fn push_ace(out: &mut String, input: &str) -> Result<(), PunycodeError> {
+    let trimmed = input.strip_suffix('.').unwrap_or(input);
+    if trimmed.is_empty() {
+        return Err(PunycodeError::EmptyLabel);
+    }
+    let start = out.len();
+    if trimmed.is_ascii() {
+        let check = |label_len: usize| match label_len {
+            0 => Err(PunycodeError::EmptyLabel),
+            n if n > ace::MAX_LABEL_OCTETS => Err(PunycodeError::LabelTooLong(n)),
+            _ => Ok(()),
+        };
+        let mut label_len = 0;
+        for &b in trimmed.as_bytes() {
+            if b == b'.' {
+                check(label_len)?;
+                label_len = 0;
+            } else {
+                label_len += 1;
+            }
+        }
+        check(label_len)?;
+        out.push_str(trimmed);
+        out[start..].make_ascii_lowercase();
+    } else {
+        for (i, label) in trimmed.split('.').enumerate() {
+            if i > 0 {
+                out.push('.');
+            }
+            out.push_str(&ace::to_ascii(label)?);
+        }
+    }
+    let len = out.len() - start;
+    if len > MAX_NAME_OCTETS {
+        return Err(PunycodeError::NameTooLong(len));
+    }
+    Ok(())
 }
 
 impl FromStr for DomainName {

@@ -751,7 +751,6 @@ fn cmd_scan_zone(args: &[String]) -> ExitCode {
     let config = ScanConfig {
         chunk_bytes: chunk,
         dedup_window: window,
-        batch_capacity: batch,
         blacklists,
         ..ScanConfig::default()
     };

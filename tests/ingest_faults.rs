@@ -459,3 +459,53 @@ fn multiple_concurrent_feeds_merge_and_account() {
         expected.total_domains() as u64
     );
 }
+
+/// Lost-wakeup regression: every churn blocks its connector until the
+/// drainer has applied it, so a wakeup that slips between the
+/// connector's flag check and its wait hangs the feed for good. Two
+/// thousand churns, each behind a one-name flush, must all complete
+/// well inside the watchdog's limit — and the report must still equal
+/// the batch replay.
+#[test]
+fn churn_storm_never_loses_a_wakeup() {
+    const CHURNS: usize = 2_000;
+    let (index, events) = world();
+    let reference = index.reference(0).to_string();
+    let mut storm = Vec::with_capacity(2 * CHURNS);
+    for (i, name) in events
+        .iter()
+        .filter_map(|e| match e {
+            ZoneEvent::Registered(name) => Some(name),
+            ZoneEvent::ReferenceChurn { .. } => None,
+        })
+        .take(CHURNS)
+        .enumerate()
+    {
+        storm.push(ZoneEvent::Registered(name.clone()));
+        // Remove the reference, then put it back on the next churn.
+        let churn = vec![reference.clone()];
+        storm.push(if i % 2 == 0 {
+            ZoneEvent::ReferenceChurn { added: Vec::new(), removed: churn }
+        } else {
+            ZoneEvent::ReferenceChurn { added: churn, removed: Vec::new() }
+        });
+    }
+    let expected = batch_replay(index, &storm, 1);
+    assert_eq!(expected.reference_diffs, CHURNS);
+
+    // The service runs on its own thread so a hang fails the test at
+    // the watchdog's limit instead of wedging the suite.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let index = Arc::clone(index);
+    let service = std::thread::spawn(move || {
+        let feed = FaultyZoneFeed::new("storm", storm, FaultSchedule::none(), FeedStats::shared());
+        let service = IngestService::new(index, service_config(1));
+        let _ = done_tx.send(service.run(vec![Box::new(feed)]));
+    });
+    let report = done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("ingest hung: a churn wakeup was lost");
+    service.join().expect("the service thread finished without panicking");
+    assert_eq!(report.router, expected);
+    assert_eq!(report.feeds[0].outcome, FeedOutcome::Completed);
+}

@@ -133,6 +133,384 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Name resolution and zone lexing ≡ reference models
+// ---------------------------------------------------------------------------
+//
+// `DomainName::parse`/`assign` and the zone lexer take fast paths for
+// ASCII input. The models below are the straightforward algorithms
+// those paths replace — every label through `ace::to_ascii` and a
+// join; `split_whitespace` tokens and a `format!`-built name per
+// owner and target — and the properties pin the fast paths to them:
+// same `Ok`/`Err`, same error variant and message, same owner.
+
+/// The reference name parser: each label through `ace::to_ascii`, then
+/// the joined length check.
+fn reference_name(input: &str) -> Result<String, PunycodeError> {
+    let trimmed = input.strip_suffix('.').unwrap_or(input);
+    if trimmed.is_empty() {
+        return Err(PunycodeError::EmptyLabel);
+    }
+    let labels = trimmed
+        .split('.')
+        .map(shamfinder::punycode::ace::to_ascii)
+        .collect::<Result<Vec<_>, _>>()?;
+    let ascii = labels.join(".");
+    if ascii.len() > 253 {
+        return Err(PunycodeError::NameTooLong(ascii.len()));
+    }
+    Ok(ascii)
+}
+
+/// A splitmix64 stream: turns one generated seed into any number of
+/// picks from the token pools below.
+struct Picks(u64);
+
+impl Picks {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn pick<'a>(&mut self, pool: &[&'a str]) -> &'a str {
+        pool[self.below(pool.len())]
+    }
+}
+
+/// A presentation name of exactly `len` bytes whose labels stay within
+/// 63 bytes, upper-case where `upper`.
+fn name_of_len(len: usize, upper: bool) -> String {
+    let mut out = String::new();
+    while len - out.len() > 64 {
+        out.push_str(&"a".repeat(63));
+        out.push('.');
+    }
+    out.push_str(&"b".repeat(len - out.len()));
+    if upper {
+        out.make_ascii_uppercase();
+    }
+    out
+}
+
+/// Origins the lexer resolves relative names against.
+const ORIGINS: [&str; 5] = ["com", "", "Example.NET", "xn--p1ai", "net."];
+
+/// A name token: `@`, labels of every edge length and case (`XN--`,
+/// 63/64 bytes, empty, non-ASCII, Unicode that folds to ASCII) with
+/// zero, one or two trailing dots, or a name sized to land on 252–254
+/// bytes after joining one of [`ORIGINS`].
+fn name_token(p: &mut Picks) -> String {
+    const ASCII_LABELS: [&str; 10] =
+        ["alpha", "Beta", "xn--ggle-55da", "XN--GGLE-55DA", "ns1", "", "-", "_srv", "xn--", "MiXeD"];
+    const UNICODE_LABELS: [&str; 5] = [
+        "bücher",
+        "ПРИМЕР",
+        "\u{212A}elvin",
+        "\u{0130}stanbul",
+        "ÿÿÿÿÿÿÿÿÿÿÿÿÿÿÿÿÿÿÿÿÿÿÿÿÿÿÿÿÿÿ",
+    ];
+    match p.below(10) {
+        0 => "@".to_string(),
+        1 => {
+            // Joined to "com" (3 bytes), "" or "Example.NET" (11): one
+            // byte either side of the 253-byte limit.
+            let len = [249, 250, 251, 252, 253, 254, 241, 242][p.below(8)];
+            let mut name = name_of_len(len, p.below(2) == 0);
+            if p.below(3) == 0 {
+                name.push('.');
+            }
+            name
+        }
+        2 => ["a".repeat(63), "b".repeat(64), "C".repeat(64)][p.below(3)].clone(),
+        _ => {
+            let labels: Vec<&str> = (0..1 + p.below(4))
+                .map(|_| match p.below(6) {
+                    0 => p.pick(&UNICODE_LABELS),
+                    _ => p.pick(&ASCII_LABELS),
+                })
+                .collect();
+            let mut name = labels.join(".");
+            name.push_str(p.pick(&["", "", ".", ".."]));
+            name
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `parse` and `assign` agree with the reference parser on every
+    /// token shape, including the exact error variant and number; a
+    /// rejected `assign` leaves the name as it was.
+    #[test]
+    fn name_entry_points_match_reference(seed in any::<u64>(), raw in "[a-zA-Z0-9.\u{00E0}-\u{00FF}-]{0,70}") {
+        let mut p = Picks(seed);
+        let mut slot = DomainName::parse("previous.example").unwrap();
+        for input in [name_token(&mut p), raw, format!("{}.{}", name_token(&mut p), p.pick(&ORIGINS))] {
+            let want = reference_name(&input);
+            prop_assert_eq!(
+                DomainName::parse(&input).map(|d| d.as_ascii().to_string()),
+                want.clone(),
+                "parse({:?})", input
+            );
+            let before = slot.clone();
+            match (slot.assign(&input), &want) {
+                (Ok(()), Ok(ascii)) => prop_assert_eq!(slot.as_ascii(), ascii.as_str()),
+                (Err(e), Err(w)) => {
+                    prop_assert_eq!(&e, w);
+                    prop_assert_eq!(&slot, &before, "a rejected assign changed the name");
+                }
+                (got, _) => prop_assert!(false, "assign({input:?}) = {got:?}, reference {want:?}"),
+            }
+        }
+    }
+}
+
+/// The reference line machine: `split_whitespace` tokens, a
+/// `format!`-joined name per owner and target through
+/// [`reference_name`]. Records come back as `(owner, owner_changed,
+/// ttl, "TYPE rdata")`.
+struct ReferenceLexer {
+    origin: String,
+    default_ttl: u32,
+    owner: Option<String>,
+    owner_token: String,
+    line_no: usize,
+}
+
+type ReferenceLine = Result<Option<(String, bool, u32, String)>, shamfinder::dns::ZoneError>;
+
+impl ReferenceLexer {
+    fn new(origin: &str) -> Self {
+        ReferenceLexer {
+            origin: origin.to_string(),
+            default_ttl: 86_400,
+            owner: None,
+            owner_token: String::new(),
+            line_no: 0,
+        }
+    }
+
+    fn resolve(&self, token: &str) -> Result<String, shamfinder::dns::ZoneError> {
+        let full = if token == "@" {
+            self.origin.clone()
+        } else if let Some(absolute) = token.strip_suffix('.') {
+            absolute.to_string()
+        } else if self.origin.is_empty() {
+            token.to_string()
+        } else {
+            format!("{token}.{}", self.origin)
+        };
+        reference_name(&full).map_err(|e| self.err(format!("bad name {token:?}: {e}")))
+    }
+
+    fn err(&self, message: impl Into<String>) -> shamfinder::dns::ZoneError {
+        shamfinder::dns::ZoneError { line: self.line_no, message: message.into() }
+    }
+
+    fn line(&mut self, raw: &str) -> ReferenceLine {
+        self.line_no += 1;
+        let mut in_quotes = false;
+        let mut line = raw;
+        for (idx, c) in raw.char_indices() {
+            match c {
+                '"' => in_quotes = !in_quotes,
+                ';' if !in_quotes => {
+                    line = &raw[..idx];
+                    break;
+                }
+                _ => {}
+            }
+        }
+        if line.trim().is_empty() {
+            return Ok(None);
+        }
+        if let Some(rest) = line.strip_prefix("$ORIGIN") {
+            let token = rest.trim().trim_end_matches('.');
+            if token.is_empty() {
+                return Err(self.err("$ORIGIN requires a name"));
+            }
+            if token != self.origin {
+                self.origin = token.to_string();
+                self.owner_token.clear();
+            }
+            return Ok(None);
+        }
+        if let Some(rest) = line.strip_prefix("$TTL") {
+            self.default_ttl =
+                rest.trim().parse().map_err(|e| self.err(format!("bad $TTL: {e}")))?;
+            return Ok(None);
+        }
+        let mut tokens = line.split_whitespace().peekable();
+        let changed = if line.starts_with(' ') || line.starts_with('\t') {
+            if self.owner.is_none() {
+                return Err(self.err("continuation line with no previous owner"));
+            }
+            false
+        } else {
+            let tok = tokens.next().ok_or_else(|| self.err("empty record line"))?;
+            if self.owner.is_some() && tok == self.owner_token {
+                false
+            } else {
+                self.owner = Some(self.resolve(tok)?);
+                self.owner_token = tok.to_string();
+                true
+            }
+        };
+        let mut ttl = self.default_ttl;
+        if let Some(v) = tokens.peek().and_then(|t| t.parse::<u32>().ok()) {
+            ttl = v;
+            tokens.next();
+        }
+        if tokens.peek().is_some_and(|t| t.eq_ignore_ascii_case("IN")) {
+            tokens.next();
+        }
+        let rtype = tokens.next().ok_or_else(|| self.err("missing record type"))?;
+        let data = match rtype.to_ascii_uppercase().as_str() {
+            "A" => {
+                let ip = tokens.next().ok_or_else(|| self.err("A record missing address"))?;
+                let addr: std::net::Ipv4Addr =
+                    ip.parse().map_err(|e| self.err(format!("bad IPv4: {e}")))?;
+                format!("A {addr}")
+            }
+            "AAAA" => {
+                let ip = tokens.next().ok_or_else(|| self.err("AAAA record missing address"))?;
+                let addr: std::net::Ipv6Addr =
+                    ip.parse().map_err(|e| self.err(format!("bad IPv6: {e}")))?;
+                format!("AAAA {addr}")
+            }
+            "NS" => {
+                let t = tokens.next().ok_or_else(|| self.err("NS record missing target"))?;
+                format!("NS {}.", self.resolve(t)?)
+            }
+            "CNAME" => {
+                let t = tokens.next().ok_or_else(|| self.err("CNAME missing target"))?;
+                format!("CNAME {}.", self.resolve(t)?)
+            }
+            "MX" => {
+                let pref: u16 = tokens
+                    .next()
+                    .ok_or_else(|| self.err("MX missing preference"))?
+                    .parse()
+                    .map_err(|e| self.err(format!("bad MX preference: {e}")))?;
+                let t = tokens.next().ok_or_else(|| self.err("MX missing exchange"))?;
+                format!("MX {pref} {}.", self.resolve(t)?)
+            }
+            "TXT" => {
+                let rest: Vec<&str> = tokens.collect();
+                format!("TXT \"{}\"", rest.join(" ").trim_matches('"'))
+            }
+            _ => return Err(self.err(format!("unsupported record type {rtype:?}"))),
+        };
+        let owner = self.owner.clone().expect("resolved above");
+        Ok(Some((owner, changed, ttl, data)))
+    }
+}
+
+/// A generated zone line covering the lexer's edge cases: directives,
+/// blanks, comments (and quoted `;`), continuation lines led by space
+/// or tab, owners led by VT/FF, fields separated by ASCII and Unicode
+/// whitespace, optional `+5`-style TTLs and classes, and rdata both
+/// valid and not.
+fn zone_line(p: &mut Picks) -> String {
+    const ASCII_SEPS: [&str; 7] = [" ", "\t", " \t ", "\u{0b}", "\u{0c}", "\r", "\t"];
+    const UNICODE_SEPS: [&str; 4] = ["\u{a0}", "\u{2003}", "\u{3000}", "\u{85}"];
+    match p.below(16) {
+        0 => format!("$ORIGIN {}", p.pick(&["com.", "Example.NET.", "", "org..", "xn--p1ai"])),
+        1 => format!("$TTL {}", p.pick(&["3600", "+5", "x", ""])),
+        2 => p.pick(&["", "  \t", "\u{a0}", "; just a comment"]).to_string(),
+        _ => {
+            let mut fields: Vec<String> = Vec::new();
+            let lead = match p.below(8) {
+                0 => p.pick(&[" ", "\t"]).to_string(),
+                1 => format!("{}{}", p.pick(&["\u{0b}", "\u{0c}"]), name_token(p)),
+                _ => name_token(p),
+            };
+            if p.below(3) == 0 {
+                fields.push(p.pick(&["3600", "+5", "0", "4294967296", "-1"]).to_string());
+            }
+            if p.below(2) == 0 {
+                fields.push(p.pick(&["IN", "in", "IN", "CH"]).to_string());
+            }
+            let rtype = p.pick(&["A", "AAAA", "NS", "CNAME", "MX", "TXT", "SOA", "ns", "a", "Mx"]);
+            fields.push(rtype.to_string());
+            match rtype.to_ascii_uppercase().as_str() {
+                "A" => fields.push(p.pick(&["192.0.2.1", "300.1.1.1", "::1"]).to_string()),
+                "AAAA" => fields.push(p.pick(&["2001:db8::1", "192.0.2.1"]).to_string()),
+                "MX" => {
+                    fields.push(p.pick(&["10", "ten", "65536"]).to_string());
+                    fields.push(name_token(p));
+                }
+                "TXT" => fields.push(p.pick(&["\"a; b\"", "\"x\" y", "plain"]).to_string()),
+                _ => fields.push(name_token(p)),
+            }
+            if p.below(6) == 0 {
+                fields.pop();
+            }
+            let unicode_seps = p.below(5) == 0;
+            let mut line = lead;
+            for field in fields {
+                let sep = if unicode_seps && p.below(2) == 0 { &UNICODE_SEPS[..] } else { &ASCII_SEPS[..] };
+                line.push_str(p.pick(sep));
+                line.push_str(&field);
+            }
+            if p.below(5) == 0 {
+                line.push_str(p.pick(&[" ; trailing", ";x\"y", "\t;"]));
+            }
+            line
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `push_line` and `scan_line` both classify every generated line
+    /// exactly like the reference line machine: same skip/record/error
+    /// outcome, same error line and message, same owner (and
+    /// owner-changed flag), and for `push_line` the same TTL and rdata.
+    #[test]
+    fn zone_lexer_matches_reference(seed in any::<u64>(), lines in 1usize..40) {
+        use shamfinder::dns::zone::{ZoneScan, ZoneStreamParser};
+        let mut p = Picks(seed);
+        let origin = p.pick(&ORIGINS);
+        let mut reference = ReferenceLexer::new(origin);
+        let mut pusher = ZoneStreamParser::new(origin);
+        let mut scanner = ZoneStreamParser::new(origin);
+        for _ in 0..lines {
+            let raw = zone_line(&mut p);
+            let want = reference.line(&raw);
+            match (&want, pusher.push_line(&raw)) {
+                (Ok(None), Ok(None)) => {}
+                (Ok(Some((owner, _, ttl, data))), Ok(Some(rr))) => {
+                    prop_assert_eq!(rr.name.as_ascii(), owner.as_str(), "push owner of {:?}", raw);
+                    prop_assert_eq!(rr.ttl, *ttl, "push TTL of {:?}", raw);
+                    let got = format!("{} {}", rr.data.record_type(), rr.data.rdata_string());
+                    prop_assert_eq!(&got, data, "push rdata of {:?}", raw);
+                }
+                (Err(w), Err(e)) => prop_assert_eq!(&e, w, "push error on {:?}", raw),
+                (w, got) => prop_assert!(false, "push_line({raw:?}) = {got:?}, reference {w:?}"),
+            }
+            match (&want, scanner.scan_line(&raw)) {
+                (Ok(None), Ok(ZoneScan::Skip)) => {}
+                (Ok(Some((owner, changed, _, _))), Ok(ZoneScan::Record { owner: got, new_owner })) => {
+                    prop_assert_eq!(got.as_ascii(), owner.as_str(), "scan owner of {:?}", raw);
+                    prop_assert_eq!(new_owner, *changed, "new_owner flag of {:?}", raw);
+                }
+                (Err(w), Err(e)) => prop_assert_eq!(&e, w, "scan error on {:?}", raw),
+                (w, got) => prop_assert!(false, "scan_line({raw:?}) = {got:?}, reference {w:?}"),
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Detection invariants
 // ---------------------------------------------------------------------------
 

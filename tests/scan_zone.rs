@@ -77,17 +77,31 @@ fn byte_lines(data: &[u8]) -> Vec<&[u8]> {
     lines
 }
 
+/// A router over the shared index: auto-opening, or restricted to the
+/// fixed lane set `lanes`.
+fn router(lanes: Option<&[&str]>) -> SessionRouter {
+    let router = SessionRouter::new(Arc::clone(index()));
+    match lanes {
+        Some(tlds) => router.with_tlds(tlds.iter().copied()),
+        None => router,
+    }
+}
+
 /// The reference model: one unchunked, single-threaded-I/O pass per
 /// file through `scan_line` with the identical dedup-window, blacklist
-/// and accounting rules, feeding the router domain by domain. The
-/// dedup window is keyed by the owner *string* (not its hash), pinning
-/// the intended semantics of the scanner's hash window.
+/// and accounting rules, feeding the router domain by domain. Every
+/// routed owner — IDN or not — goes through `push_domains`, so the
+/// model is an oracle for the scanner's IDN prefilter rather than a
+/// copy of it. The dedup window is keyed by the owner *string* (not
+/// its hash), pinning the intended semantics of the scanner's hash
+/// window.
 fn replay(
     inputs: &[(&str, &[u8])],
     dedup_window: usize,
     blacklists: &[Blacklist],
+    lanes: Option<&[&str]>,
 ) -> (RouterReport, BTreeMap<String, TldScanStats>) {
-    let mut router = SessionRouter::new(Arc::clone(index())).with_batch_capacity(97);
+    let mut router = router(lanes).with_batch_capacity(97);
     let mut per_tld: BTreeMap<String, TldScanStats> = BTreeMap::new();
     let mut window: VecDeque<String> = VecDeque::new();
     let mut window_set: HashSet<String> = HashSet::new();
@@ -152,15 +166,15 @@ fn scan(
     chunk_bytes: usize,
     dedup_window: usize,
     blacklists: Vec<Blacklist>,
+    lanes: Option<&[&str]>,
 ) -> shamfinder::core::ScanReport {
     let config = ScanConfig {
         chunk_bytes,
         dedup_window,
         blacklists,
-        batch_capacity: 256,
         ..ScanConfig::default()
     };
-    let mut scanner = ZoneScanner::new(SessionRouter::new(Arc::clone(index())), config);
+    let mut scanner = ZoneScanner::new(router(lanes).with_batch_capacity(256), config);
     for (tld, data) in inputs {
         scanner
             .scan_reader(tld, *data)
@@ -224,8 +238,8 @@ proptest! {
             blacklists.push(bl);
         }
 
-        let (want_router, want_tld) = replay(&inputs, window, &blacklists);
-        let report = scan(&inputs, chunk, window, blacklists);
+        let (want_router, want_tld) = replay(&inputs, window, &blacklists, None);
+        let report = scan(&inputs, chunk, window, blacklists, None);
         assert_equivalent(&report, &want_router, &want_tld, "generated feed");
 
         if blacklist_net == 1 {
@@ -233,6 +247,88 @@ proptest! {
             prop_assert_eq!(net_stats.routed, 0, "TLD-wide blacklist leaked");
             prop_assert!(net_stats.blacklisted > 0);
         }
+    }
+}
+
+/// Rewrites the owner token of record lines, picked per owner by an
+/// FNV hash of the token and `seed` (so an owner's whole run changes
+/// together): upper-cased (`xn--` owners become `XN--`), made absolute
+/// in another TLD (`foo` → `foo.net.`), or both (`FOO.ORG.`); about
+/// half the owners keep their token.
+fn reshape_owners(data: &[u8], seed: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(data.len() + data.len() / 4);
+    for (i, line) in data.split(|&b| b == b'\n').enumerate() {
+        if i > 0 {
+            out.push(b'\n');
+        }
+        let owner_len = line
+            .iter()
+            .position(|b| b.is_ascii_whitespace())
+            .unwrap_or(line.len());
+        if owner_len == 0 || matches!(line[0], b'$' | b';') {
+            out.extend_from_slice(line);
+            continue;
+        }
+        let (owner, rest) = line.split_at(owner_len);
+        let hash = owner.iter().fold(0xcbf2_9ce4_8422_2325u64 ^ seed, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        match hash % 8 {
+            0 | 1 => out.extend(owner.iter().map(u8::to_ascii_uppercase)),
+            2 => {
+                out.extend_from_slice(owner);
+                out.extend_from_slice(b".net.");
+            }
+            3 => {
+                out.extend(owner.iter().map(u8::to_ascii_uppercase));
+                out.extend_from_slice(b".ORG.");
+            }
+            _ => out.extend_from_slice(owner),
+        }
+        out.extend_from_slice(rest);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The IDN prefilter routes by each owner's own TLD and counts
+    /// `XN--` owners as IDNs: on feeds whose owners are upper-cased or
+    /// absolute in another TLD, the scanner still equals the
+    /// push-everything replay — auto-opening lanes for the foreign
+    /// TLDs, or, under a fixed `.com` lane set, counting every foreign
+    /// owner (ASCII ones included) as unrouted.
+    #[test]
+    fn prefilter_routes_foreign_and_uppercase_owners(
+        seed in any::<u64>(),
+        chunk in 4096usize..20_000,
+        window in 0usize..96,
+        fixed in 0u8..2,
+    ) {
+        let fixed_lanes = fixed == 1;
+        let com = reshape_owners(&gen_zone("com", seed, 24 << 10, 60, 5), seed);
+        let net = reshape_owners(&gen_zone("net", seed ^ 0x5EED, 12 << 10, 60, 5), !seed);
+        let inputs: Vec<(&str, &[u8])> = vec![("com", &com), ("net", &net)];
+        let lanes: Option<&[&str]> = if fixed_lanes { Some(&["com"]) } else { None };
+
+        let (want_router, want_tld) = replay(&inputs, window, &[], lanes);
+        let report = scan(&inputs, chunk, window, Vec::new(), lanes);
+        assert_equivalent(&report, &want_router, &want_tld, "reshaped feed");
+
+        // Every routed owner lands in a lane or in `unrouted`.
+        let routed: u64 = report.per_tld.values().map(|s| s.routed).sum();
+        prop_assert_eq!(routed, report.router.total_domains() as u64);
+        let lane_tlds: Vec<&str> =
+            report.router.per_tld.iter().map(|t| t.tld.as_str()).collect();
+        if fixed_lanes {
+            prop_assert_eq!(lane_tlds, vec!["com"]);
+            prop_assert!(report.router.unrouted_domains > 0, "foreign owners must be unrouted");
+        } else {
+            prop_assert_eq!(lane_tlds, vec!["com", "net", "org"]);
+            prop_assert_eq!(report.router.unrouted_domains, 0);
+        }
+        prop_assert!(report.router.idn_count() > 0, "upper-cased IDN owners must still count");
     }
 }
 
@@ -270,8 +366,8 @@ proptest! {
             }
         }
         let inputs: Vec<(&str, &[u8])> = vec![("com", &data)];
-        let (want_router, want_tld) = replay(&inputs, 64, &[]);
-        let report = scan(&inputs, chunk, 64, Vec::new());
+        let (want_router, want_tld) = replay(&inputs, 64, &[], None);
+        let report = scan(&inputs, chunk, 64, Vec::new(), None);
         assert_equivalent(&report, &want_router, &want_tld, "damaged feed");
     }
 }
@@ -288,7 +384,7 @@ fn scan_is_thread_count_invariant_and_detects_plants() {
 
     let (want_router, want_tld) = {
         let _one = rayon::ThreadOverride::new(1);
-        replay(&inputs, 8_192, &[])
+        replay(&inputs, 8_192, &[], None)
     };
     assert!(
         want_router.detection_count() > 0,
@@ -298,7 +394,7 @@ fn scan_is_thread_count_invariant_and_detects_plants() {
     let hardware = std::thread::available_parallelism().map_or(2, |n| n.get().clamp(2, 4));
     for threads in [1usize, hardware] {
         let _forced = rayon::ThreadOverride::new(threads);
-        let report = scan(&inputs, 1 << 16, 8_192, Vec::new());
+        let report = scan(&inputs, 1 << 16, 8_192, Vec::new(), None);
         assert_equivalent(
             &report,
             &want_router,
@@ -313,8 +409,8 @@ fn scan_is_thread_count_invariant_and_detects_plants() {
 #[test]
 fn empty_file_accounts_to_zero()  {
     let inputs: Vec<(&str, &[u8])> = vec![("org", b"")];
-    let (want_router, want_tld) = replay(&inputs, 16, &[]);
-    let report = scan(&inputs, 4096, 16, Vec::new());
+    let (want_router, want_tld) = replay(&inputs, 16, &[], None);
+    let report = scan(&inputs, 4096, 16, Vec::new(), None);
     assert_equivalent(&report, &want_router, &want_tld, "empty file");
     let mut org = report.per_tld["org"];
     org.elapsed_secs = 0.0;
