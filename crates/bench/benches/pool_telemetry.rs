@@ -19,9 +19,6 @@
 //! * `stats_read` — `rayon::pool_stats()` snapshots per second: the
 //!   ledger/server read path (each snapshot is ~10 relaxed loads plus
 //!   the pool-size lock).
-//! * `occupancy_read` — `rayon::busy_workers()` reads per second: the
-//!   adaptive scheduler's per-batch probe (one atomic load when no
-//!   override forces it).
 //!
 //! The snapshot section `pool_telemetry` lands in
 //! `BENCH_detection.json` next to `streaming_ingest`, so the overhead
@@ -66,14 +63,11 @@ fn bench_pool_telemetry(c: &mut Criterion) {
     group.bench_function("stats_read", |b| {
         b.iter(|| std::hint::black_box(rayon::pool_stats()))
     });
-    group.bench_function("occupancy_read", |b| {
-        b.iter(|| std::hint::black_box(rayon::busy_workers()))
-    });
     group.finish();
 
     snapshot_thread_sweep(
         "pool_telemetry",
-        &["dispatch_on", "dispatch_off", "stats_read", "occupancy_read"],
+        &["dispatch_on", "dispatch_off", "stats_read"],
         |name| {
             // Suspend the counters for the whole off-measurement
             // (warm-up included); the pool is quiescent at the toggle
@@ -92,16 +86,9 @@ fn bench_pool_telemetry(c: &mut Criterion) {
                         }
                     },
                 ),
-                "stats_read" => {
-                    measure_ops_per_sec(READS_PER_PASS, snapshot_samples(), || {
-                        for _ in 0..READS_PER_PASS {
-                            std::hint::black_box(rayon::pool_stats());
-                        }
-                    })
-                }
                 _ => measure_ops_per_sec(READS_PER_PASS, snapshot_samples(), || {
                     for _ in 0..READS_PER_PASS {
-                        std::hint::black_box(rayon::busy_workers());
+                        std::hint::black_box(rayon::pool_stats());
                     }
                 }),
             };

@@ -61,7 +61,6 @@
 
 use crate::detection::{CharSubstitution, Detection, RefName};
 use crate::index::{closure_hash, DetectionIndex, ReferenceSet};
-use crate::sched::ExecStats;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use sham_simchar::{DbSelection, HomoglyphDb};
@@ -209,15 +208,76 @@ fn matches_into(
     !subs.is_empty()
 }
 
+/// Minimum IDNs per shard — amortises the per-shard scratch buffers.
+pub(crate) const MIN_SHARD_LEN: usize = 64;
+
+/// Execution statistics of the detection calls behind one report: how
+/// batches were split across the pool, not what they computed. Purely
+/// observational — [`FrameworkReport`](crate::FrameworkReport)
+/// equality deliberately ignores this field, because partitioning
+/// varies with the thread count while results must not.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ExecStats {
+    /// Detection batches executed (one per `detect_append` call with
+    /// at least one IDN).
+    pub batches: u64,
+    /// Batches that ran inline on the calling thread (single shard).
+    pub inline_batches: u64,
+    /// Total shards dispatched across all batches.
+    pub shards: u64,
+    /// Smallest shard length chosen so far (0 until the first batch).
+    pub min_shard_len: usize,
+    /// Largest shard length chosen so far.
+    pub max_shard_len: usize,
+    /// Most workers engaged by a single batch.
+    pub max_workers: usize,
+}
+
+impl ExecStats {
+    /// Folds one executed batch into the totals.
+    pub(crate) fn record(&mut self, shards: usize, shard_len: usize, workers: usize) {
+        self.merge(&ExecStats {
+            batches: 1,
+            inline_batches: u64::from(workers <= 1),
+            shards: shards as u64,
+            min_shard_len: shard_len,
+            max_shard_len: shard_len,
+            max_workers: workers,
+        });
+    }
+
+    /// Folds another accumulator into this one (report merging).
+    pub fn merge(&mut self, other: &ExecStats) {
+        self.batches += other.batches;
+        self.inline_batches += other.inline_batches;
+        self.shards += other.shards;
+        if other.min_shard_len != 0 {
+            self.min_shard_len = if self.min_shard_len == 0 {
+                other.min_shard_len
+            } else {
+                self.min_shard_len.min(other.min_shard_len)
+            };
+        }
+        self.max_shard_len = self.max_shard_len.max(other.max_shard_len);
+        self.max_workers = self.max_workers.max(other.max_workers);
+    }
+
+    /// True until the first batch is recorded.
+    pub fn is_empty(&self) -> bool {
+        self.batches == 0
+    }
+}
+
 /// The shared detection executor: scores `idns` against `refs` and
 /// appends detections (in corpus order) to `out`. Batch `detect`,
 /// `Framework::run` and the streaming session all funnel through here,
 /// so the two ingestion modes cannot diverge. A corpus larger than one
 /// shard fans out across the worker pool; smaller batches run inline
-/// with the caller's scratch. The shard size adapts to the observed
-/// pool occupancy (see [`crate::sched`]) — partitioning only, the
-/// output is bit-identical at every occupancy and thread count — and
-/// the decision taken is recorded into `exec`.
+/// with the caller's scratch. The rule is fixed: `⌈n/threads⌉` IDNs per
+/// shard, never fewer than [`MIN_SHARD_LEN`], so one thread (or a batch
+/// that fits one shard) always runs inline. Partitioning never changes
+/// the output, which is bit-identical at every thread count; the shard
+/// split taken is recorded into `exec`.
 #[allow(clippy::too_many_arguments)] // internal funnel: every caller threads the same context
 pub(crate) fn detect_append(
     db: &HomoglyphDb,
@@ -233,7 +293,7 @@ pub(crate) fn detect_append(
         return;
     }
     let threads = rayon::current_num_threads().max(1);
-    let shard_len = crate::sched::shard_len_for(idns.len(), threads);
+    let shard_len = idns.len().div_ceil(threads).max(MIN_SHARD_LEN);
     if idns.len() <= shard_len {
         exec.record(1, idns.len(), 1);
         detect_shard(db, refs, idns, selection, indexing, scratch, out);
@@ -315,6 +375,33 @@ mod tests {
     use sham_confusables::UcDatabase;
     use sham_glyph::SynthUnifont;
     use sham_simchar::{build, BuildConfig, Repertoire};
+
+    #[test]
+    fn exec_stats_record_and_merge_track_extremes() {
+        let mut a = ExecStats::default();
+        assert!(a.is_empty());
+        a.record(1, 500, 1);
+        a.record(8, 64, 4);
+        assert_eq!(a.batches, 2);
+        assert_eq!(a.inline_batches, 1);
+        assert_eq!(a.shards, 9);
+        assert_eq!(a.min_shard_len, 64);
+        assert_eq!(a.max_shard_len, 500);
+        assert_eq!(a.max_workers, 4);
+
+        let mut b = ExecStats::default();
+        b.record(2, 32, 2);
+        b.merge(&a);
+        assert_eq!(b.batches, 3);
+        assert_eq!(b.shards, 11);
+        assert_eq!(b.min_shard_len, 32);
+        assert_eq!(b.max_shard_len, 500);
+        assert_eq!(b.max_workers, 4);
+
+        // Merging an empty accumulator must not clobber the minimum.
+        b.merge(&ExecStats::default());
+        assert_eq!(b.min_shard_len, 32);
+    }
 
     fn detector(refs: &[&str]) -> Detector {
         let font = SynthUnifont::v12();

@@ -14,10 +14,9 @@
 //! [`Framework::with_shared_index`] instead of each rebuilding (or
 //! cloning) the homoglyph database.
 
-use crate::algorithm::{Detector, Indexing};
+use crate::algorithm::{Detector, ExecStats, Indexing};
 use crate::detection::Detection;
 use crate::index::DetectionIndex;
-use crate::sched::ExecStats;
 use crate::session::DetectorSession;
 use serde::{Deserialize, Serialize};
 use sham_confusables::UcDatabase;
@@ -37,16 +36,15 @@ pub struct FrameworkReport {
     /// How the detection calls behind this report were scheduled
     /// (batches, shards, workers engaged) — observational only, and
     /// deliberately **ignored by equality**: partitioning varies with
-    /// pool occupancy and thread count while results must not, so two
-    /// reports of the same corpus compare equal whatever the scheduler
-    /// chose.
+    /// the thread count while results must not, so two reports of the
+    /// same corpus compare equal however their batches were split.
     pub exec: ExecStats,
 }
 
 /// Equality covers the *results* (counts and detections), never the
 /// `exec` scheduling trace — see the field's documentation. Keeping
 /// this manual is what lets every equivalence suite `assert_eq!` whole
-/// reports across thread counts and forced occupancy histories.
+/// reports across thread counts and batch partitions.
 impl PartialEq for FrameworkReport {
     fn eq(&self, other: &Self) -> bool {
         self.total_domains == other.total_domains

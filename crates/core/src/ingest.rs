@@ -173,14 +173,15 @@ impl RetryPolicy {
 /// Configuration for an [`IngestService`].
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
-    /// Per-lane queue bound.
+    /// Per-lane queue bound (at least 1; see [`IngestService::new`]).
     pub queue_capacity: usize,
     /// Default full-queue behaviour.
     pub backpressure: Backpressure,
     /// Per-TLD overrides of the default backpressure.
     pub lane_policies: Vec<(String, Backpressure)>,
-    /// Names the drainer hands the router per flush (the router's own
-    /// lane batching sits below this).
+    /// Most names the drainer hands the router per flush, and the
+    /// router's lane batch capacity (at least 1; see
+    /// [`IngestService::new`]).
     pub batch_capacity: usize,
     /// Feed-level retry/backoff/circuit policy.
     pub retry: RetryPolicy,
@@ -312,9 +313,9 @@ impl IngestReport {
         self.feeds.iter().map(|f| f.registrations).sum()
     }
 
-    /// Scheduling decisions aggregated across every router lane (see
-    /// [`ExecStats`](crate::sched::ExecStats)).
-    pub fn exec(&self) -> crate::sched::ExecStats {
+    /// Batch partitioning aggregated across every router lane (see
+    /// [`ExecStats`](crate::ExecStats)).
+    pub fn exec(&self) -> crate::ExecStats {
         self.router.exec()
     }
 }
@@ -419,7 +420,12 @@ pub struct IngestService {
 
 impl IngestService {
     /// A service over a shared detection index with the given config.
-    pub fn new(index: Arc<DetectionIndex>, config: IngestConfig) -> Self {
+    /// Both capacities are clamped to at least 1: a zero queue could
+    /// never accept a blocked push, and a zero flush would hand the
+    /// router empty batches forever.
+    pub fn new(index: Arc<DetectionIndex>, mut config: IngestConfig) -> Self {
+        config.queue_capacity = config.queue_capacity.max(1);
+        config.batch_capacity = config.batch_capacity.max(1);
         IngestService { index, config, flush_hook: None }
     }
 
@@ -646,12 +652,10 @@ impl IngestService {
                     .map(|(tld, _)| tld.clone());
                 match lagging {
                     Some(tld) => {
-                        // Adaptive drain batch: the full configured
-                        // capacity while the pool is busy, an earlier
-                        // (smaller) flush when it is idle — see
-                        // `crate::sched`. Batch size never affects the
-                        // report, only dispatch granularity.
-                        let cap = crate::sched::flush_capacity(self.config.batch_capacity);
+                        // At most one configured batch per flush. Batch
+                        // size never affects the report, only dispatch
+                        // granularity.
+                        let cap = self.config.batch_capacity;
                         let lane = inner.lanes.get_mut(&tld).expect("lane just found");
                         let mut batch = Vec::new();
                         while batch.len() < cap
@@ -680,9 +684,8 @@ impl IngestService {
                 .min_by_key(|(_, lane)| lane.queue.front().expect("nonempty").0)
                 .map(|(tld, _)| tld.clone());
             if let Some(tld) = oldest {
-                let cap = crate::sched::flush_capacity(self.config.batch_capacity);
                 let lane = inner.lanes.get_mut(&tld).expect("lane just found");
-                let take = lane.queue.len().min(cap);
+                let take = lane.queue.len().min(self.config.batch_capacity);
                 let batch: Vec<DomainName> =
                     lane.queue.drain(..take).map(|(_, name)| name).collect();
                 shared.space.notify_all();

@@ -28,10 +28,6 @@
 //! * [`feeds`] — byte-stream feed sources: master-file text
 //!   ([`ZoneTextFeed`]) and length-prefixed DNS wire frames
 //!   ([`WireMessageFeed`]) off any `Read` transport.
-//! * [`sched`] — the occupancy-driven execution policy: shard sizing
-//!   and flush batching adapt to the worker pool's observed occupancy
-//!   (partitioning only — outputs stay bit-identical), with
-//!   [`ExecStats`] recording the decisions into every report.
 //! * [`framework`] — the Steps 1–3 pipeline of Fig. 1 (a one-shot
 //!   wrapper over a session).
 //! * [`revert`] — §6.4's homograph-to-original reverting.
@@ -79,10 +75,9 @@ pub mod registry;
 pub mod revert;
 pub mod router;
 pub mod scan;
-pub mod sched;
 pub mod session;
 
-pub use algorithm::{Detector, Indexing};
+pub use algorithm::{Detector, ExecStats, Indexing};
 pub use detection::{CharSubstitution, Detection, RefName};
 pub use feeds::{WireMessageFeed, ZoneTextFeed};
 pub use framework::{Framework, FrameworkReport};
@@ -94,7 +89,6 @@ pub use ingest::{
 };
 pub use router::{RouterReport, SessionRouter, TldReport};
 pub use scan::{ScanConfig, ScanReport, TldScanStats, ZoneScanner};
-pub use sched::ExecStats;
 pub use session::{DetectorSession, DEFAULT_COMPACTION_THRESHOLD};
 pub use highlight::{HighlightedSubstitution, Warning};
 pub use policy::{bypasses_policy, display, Display, Policy};
@@ -107,6 +101,6 @@ pub use revert::{revert_char, revert_stem, Reverted};
 pub use sham_simchar::DbSelection;
 
 // Re-export the executor's telemetry surface so CLI/servers can read
-// pool occupancy and counters without depending on the vendored
-// executor crate directly.
-pub use rayon::{busy_workers, pool_stats, PoolStats};
+// pool counters without depending on the vendored executor crate
+// directly.
+pub use rayon::{pool_stats, PoolStats};

@@ -41,7 +41,7 @@
 //! lane sees exactly the reference view a lane open from the start
 //! would: folding and reopening are unobservable in the final report.
 
-use crate::algorithm::Indexing;
+use crate::algorithm::{ExecStats, Indexing};
 use crate::detection::Detection;
 use crate::framework::FrameworkReport;
 use crate::index::DetectionIndex;
@@ -129,11 +129,10 @@ impl RouterReport {
         self.per_tld.iter().flat_map(|t| t.report.detections.iter())
     }
 
-    /// Scheduling decisions aggregated across every lane (see
-    /// [`ExecStats`](crate::sched::ExecStats) — observational, ignored
-    /// by report equality).
-    pub fn exec(&self) -> crate::sched::ExecStats {
-        let mut total = crate::sched::ExecStats::default();
+    /// Batch partitioning aggregated across every lane (see
+    /// [`ExecStats`] — observational, ignored by report equality).
+    pub fn exec(&self) -> ExecStats {
+        let mut total = ExecStats::default();
         for lane in &self.per_tld {
             total.merge(&lane.report.exec);
         }
@@ -287,11 +286,10 @@ impl SessionRouter {
     }
 
     /// Sets how many registrations a lane buffers before flushing them
-    /// as one batch (1 disables buffering). This is the *upper* bound:
-    /// when the worker pool is idle the router flushes earlier (see
-    /// [`crate::sched`]) to trade batch amortisation for latency.
-    /// Batching is unobservable in the report either way — it only
-    /// controls how much work each detection call hands the pool.
+    /// as one batch (1 disables buffering; 0 is clamped to 1). Every
+    /// lane flushes at exactly this many events. Batching is
+    /// unobservable in the report — it only controls how much work
+    /// each detection call hands the pool.
     pub fn with_batch_capacity(mut self, capacity: usize) -> Self {
         self.batch_capacity = capacity.max(1);
         self
@@ -380,18 +378,12 @@ impl SessionRouter {
     /// TLD's lane (opened on first sight unless the lane set is fixed),
     /// and any lane whose buffer reaches capacity flushes as one batch.
     pub fn push_domains<'a>(&mut self, domains: impl IntoIterator<Item = &'a DomainName>) {
-        // Adapt the flush trigger to the pool occupancy once per call
-        // (never per domain — this is the 1M+ events/s hot path): an
-        // idle pool flushes earlier for latency, a busy one amortises
-        // full batches. Partitioning only — the report is identical at
-        // any capacity (see `batching_is_unobservable`).
-        let capacity = crate::sched::flush_capacity(self.batch_capacity);
         for domain in domains {
             let Some(at) = self.route(domain.tld()) else { continue };
             let lane = &mut self.lanes[at];
             lane.pending.push(domain.clone());
             lane.since_flush += 1;
-            if lane.since_flush >= capacity {
+            if lane.since_flush >= self.batch_capacity {
                 lane.flush();
             }
         }
@@ -412,11 +404,10 @@ impl SessionRouter {
     pub fn count_non_idn(&mut self, domain: &DomainName) {
         debug_assert!(!domain.is_idn(), "{domain} is an IDN; route it with push_domains");
         let Some(at) = self.route(domain.tld()) else { return };
-        let capacity = crate::sched::flush_capacity(self.batch_capacity);
         let lane = &mut self.lanes[at];
         lane.session.count_non_idn();
         lane.since_flush += 1;
-        if lane.since_flush >= capacity {
+        if lane.since_flush >= self.batch_capacity {
             lane.flush();
         }
     }

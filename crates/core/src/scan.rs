@@ -56,10 +56,10 @@
 //!   still equals the router's `total_domains()` and the identity needs
 //!   no separate term for the counted-only owners.
 //!
-//! Lane batches flush at the router's occupancy-adaptive
-//! [`flush_capacity`](crate::sched) mark, counted in owners routed to
-//! the lane, IDN or not — so detection batches are the ones a push of
-//! every owner would cut.
+//! Lane batches flush at the router's configured batch capacity
+//! ([`SessionRouter::with_batch_capacity`]), counted in owners routed
+//! to the lane, IDN or not — so detection batches are the ones a push
+//! of every owner would cut.
 
 use crate::router::{RouterReport, SessionRouter};
 use sham_dns::zone::{ZoneScan, ZoneStreamParser};

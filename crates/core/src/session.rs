@@ -38,11 +38,10 @@
 //!
 //! [`Framework::run`]: crate::Framework::run
 
-use crate::algorithm::{detect_append, DetectScratch, Indexing};
+use crate::algorithm::{detect_append, DetectScratch, ExecStats, Indexing};
 use crate::detection::Detection;
 use crate::framework::FrameworkReport;
 use crate::index::{DetectionIndex, ReferenceSet};
-use crate::sched::ExecStats;
 use sham_punycode::DomainName;
 use sham_simchar::DbSelection;
 use std::sync::Arc;

@@ -4,12 +4,16 @@
 //! report a one-shot `Framework::run` over that TLD's slice of the
 //! feed produces, at every thread count. Routing, lane buffering and
 //! the shared worker pool must all be unobservable in the results.
+//! The suite also pins the observational contract of [`ExecStats`]:
+//! report equality ignores it, accessors accumulate it.
+//!
+//! [`ExecStats`]: sham_core::ExecStats
 
 use proptest::prelude::*;
-use sham_core::{DetectionIndex, Framework, RouterReport, SessionRouter};
+use sham_core::{DetectionIndex, ExecStats, Framework, RouterReport, SessionRouter};
 use sham_punycode::DomainName;
 use sham_simchar::{build, BuildConfig, HomoglyphDb, Repertoire};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 const REFERENCES: &[&str] = &[
     "google", "amazon", "facebook", "apple", "paypal", "netflix", "coinbase",
@@ -17,6 +21,16 @@ const REFERENCES: &[&str] = &[
 ];
 
 const TLDS: &[&str] = &["com", "net", "org"];
+
+/// Serialises the tests that force a thread count: the override is
+/// process-global, and the exec-stats assertions below would observe a
+/// neighbouring test's forced count.
+fn guard() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One shared index for every case — the SimChar build is the
 /// expensive part and the index is immutable.
@@ -124,14 +138,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// Any push partition of the interleaved feed, at any lane batch
-    /// capacity, folds into the per-TLD batch reports.
+    /// capacity and at 1, 2 or 4 worker threads, folds into the per-TLD
+    /// batch reports.
     #[test]
     fn any_interleaving_matches_per_tld_batch_runs(
         n in 0usize..1_200,
         capacity in 1usize..200,
         cuts in proptest::collection::vec(0usize..120, 0..10),
+        threads_idx in 0usize..3,
     ) {
+        let _serial = guard();
         let domains = corpus(n);
+        let _threads = rayon::ThreadOverride::new([1usize, 2, 4][threads_idx]);
         let mut router =
             SessionRouter::new(Arc::clone(index())).with_batch_capacity(capacity);
         let mut rest = domains;
@@ -191,6 +209,7 @@ proptest! {
 /// lane batches through the persistent pool).
 #[test]
 fn interleaved_feed_matches_batch_at_every_thread_count() {
+    let _serial = guard();
     let domains = corpus(12_000);
     let sequential = {
         let _one = rayon::ThreadOverride::new(1);
@@ -238,4 +257,92 @@ fn restricted_lanes_stay_equivalent_and_count_unrouted() {
         let lane = report.per_tld.iter().find(|lane| &lane.tld == tld).unwrap();
         assert_eq!(&lane.report, batch, "lane .{tld} diverged");
     }
+}
+
+/// The `.com` slice of the first `n` corpus domains, and a framework
+/// over it (frameworks are single-TLD).
+fn com_run_inputs(n: usize) -> (Framework, Vec<DomainName>) {
+    let fw = Framework::with_shared_index(Arc::clone(index()), "com");
+    let domains = corpus(n)
+        .iter()
+        .filter(|d| d.tld() == "com")
+        .cloned()
+        .collect();
+    (fw, domains)
+}
+
+/// Report equality is blind to `exec` — the same corpus run inline at
+/// 1 thread and sharded across 4 compares equal while the recorded
+/// stats differ.
+#[test]
+fn report_equality_ignores_exec_stats() {
+    let _serial = guard();
+    let (fw, domains) = com_run_inputs(2_000);
+    let inline = {
+        let _one = rayon::ThreadOverride::new(1);
+        fw.run(&domains)
+    };
+    let sharded = {
+        let _four = rayon::ThreadOverride::new(4);
+        fw.run(&domains)
+    };
+    assert_eq!(inline, sharded, "partitioning leaked into the results");
+    assert!(
+        inline.detections.len() > 100,
+        "corpus must be detection-rich ({} found)",
+        inline.detections.len()
+    );
+    assert_eq!((inline.exec.shards, inline.exec.inline_batches), (1, 1));
+    assert!(
+        sharded.exec.shards > inline.exec.shards,
+        "4 threads should shard the batch ({} shards)",
+        sharded.exec.shards
+    );
+    assert!(sharded.exec.min_shard_len < inline.exec.min_shard_len);
+}
+
+/// `ExecStats` accumulate across a session's batches: every non-empty
+/// push records one batch, 1-thread pushes are inline single shards,
+/// and the router folds its lanes' stats into one accumulator.
+#[test]
+fn exec_stats_accumulate_across_batches_and_lanes() {
+    let _serial = guard();
+    let _one = rayon::ThreadOverride::new(1);
+
+    // Every batch is one inline shard of the batch's length.
+    let (fw, domains) = com_run_inputs(1_500);
+    let mut session = fw.session();
+    let mut idn_batches = 0u64;
+    for batch in domains.chunks(100) {
+        session.push_domains(batch);
+        if batch.iter().any(|d| d.is_idn()) {
+            idn_batches += 1;
+        }
+    }
+    let exec = session.exec_stats();
+    assert_eq!(exec.batches, idn_batches);
+    assert_eq!(exec.inline_batches, idn_batches);
+    assert_eq!(exec.shards, idn_batches);
+    assert_eq!(exec.max_workers, 1);
+    assert!(exec.max_shard_len <= 100);
+    assert_eq!(session.into_report().exec, exec);
+
+    // Router: the folded accumulator covers every lane's batches.
+    let mut router = SessionRouter::new(Arc::clone(index()));
+    router.push_domains(corpus(1_500));
+    let report = router.into_report();
+    let folded = report.exec();
+    let per_lane: u64 = report.per_tld.iter().map(|l| l.report.exec.batches).sum();
+    assert!(!folded.is_empty());
+    assert_eq!(folded.batches, per_lane);
+}
+
+/// The empty run records nothing: no batches, `is_empty`, and the
+/// default accumulator round-trips through report merging unchanged.
+#[test]
+fn empty_runs_record_no_exec_stats() {
+    let (fw, _) = com_run_inputs(0);
+    let report = fw.run(&[]);
+    assert!(report.exec.is_empty());
+    assert_eq!(report.exec, ExecStats::default());
 }

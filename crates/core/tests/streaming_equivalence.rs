@@ -96,16 +96,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any batch partition of the corpus — empty batches included —
-    /// yields the report of one `Framework::run`.
+    /// at 1, 2 or 4 worker threads yields the report of one 1-thread
+    /// `Framework::run`.
     #[test]
     fn any_batch_partition_matches_one_shot_run(
         n in 0usize..1_500,
         cuts in proptest::collection::vec(0usize..120, 0..12),
+        threads_idx in 0usize..3,
     ) {
         let fw = framework();
         let corpus = corpus(n);
-        let expected = fw.run(corpus);
+        let expected = {
+            let _one = rayon::ThreadOverride::new(1);
+            fw.run(corpus)
+        };
 
+        let _threads = rayon::ThreadOverride::new([1usize, 2, 4][threads_idx]);
         let mut session = fw.session();
         let mut rest = corpus;
         for &cut in &cuts {

@@ -60,6 +60,22 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
+/// The parsed value of numeric flag `flag`, or `None` when the flag is
+/// absent. A value that does not parse is a usage error: it prints the
+/// error and the usage text and exits with status 2, instead of running
+/// on a silent default.
+fn num_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    let raw = flag_value(args, flag)?;
+    match raw.parse() {
+        Ok(value) => Some(value),
+        Err(_) => {
+            eprintln!("error: {flag} expects a number, got {raw:?}");
+            usage();
+            std::process::exit(2)
+        }
+    }
+}
+
 fn build_db(theta: u32) -> HomoglyphDb {
     eprintln!("[shamfinder] building SimChar (θ = {theta}) …");
     let font = SynthUnifont::v12();
@@ -77,9 +93,7 @@ fn default_refs() -> Vec<String> {
 }
 
 fn cmd_build_db(args: &[String]) -> ExitCode {
-    let theta = flag_value(args, "--theta")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let theta = num_flag(args, "--theta").unwrap_or(4);
     let db = build_db(theta);
     let sim = db.simchar();
     println!("theta: {}", sim.theta());
@@ -127,9 +141,7 @@ fn cmd_index(args: &[String]) -> ExitCode {
     // The library default, not a literal: a retuned DEFAULT_THETA must
     // keep `index build`/`load` fingerprint-compatible with library
     // builds.
-    let theta = flag_value(args, "--theta")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(shamfinder::simchar::DEFAULT_THETA);
+    let theta = num_flag(args, "--theta").unwrap_or(shamfinder::simchar::DEFAULT_THETA);
     match action.as_str() {
         "build" => {
             let with_refs = args.iter().any(|a| a == "--with-refs");
@@ -497,8 +509,8 @@ fn cmd_serve_feed(args: &[String]) -> ExitCode {
         .map(|t| t.trim().to_string())
         .filter(|t| !t.is_empty())
         .collect();
-    let queue = flag_value(args, "--queue").and_then(|v| v.parse().ok()).unwrap_or(1024);
-    let batch = flag_value(args, "--batch").and_then(|v| v.parse().ok()).unwrap_or(1024);
+    let queue = num_flag(args, "--queue").unwrap_or(1024);
+    let batch = num_flag(args, "--batch").unwrap_or(1024);
     let policy = match flag_value(args, "--policy").as_deref() {
         None | Some("block") => Backpressure::Block,
         Some("shed") => Backpressure::Shed,
@@ -507,9 +519,9 @@ fn cmd_serve_feed(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let faults: u32 =
-        flag_value(args, "--faults").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let seed: u64 = flag_value(args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(7);
+    let faults: u32 = num_flag(args, "--faults").unwrap_or(0);
+    let seed: u64 = num_flag(args, "--seed").unwrap_or(7);
+    let events_scale: usize = num_flag(args, "--events").unwrap_or(20_000);
 
     let refs: Vec<String> = match flag_value(args, "--refs-file") {
         Some(f) => match std::fs::read_to_string(&f) {
@@ -550,8 +562,6 @@ fn cmd_serve_feed(args: &[String]) -> ExitCode {
         eprintln!("[shamfinder] ingesting zone {zone_path} (.{origin}) …");
         service.run(vec![Box::new(feed)])
     } else {
-        let events_scale: usize =
-            flag_value(args, "--events").and_then(|v| v.parse().ok()).unwrap_or(20_000);
         let workload =
             shamfinder::workload::Workload::generate(shamfinder::workload::WorkloadConfig {
                 benign_ascii: events_scale.saturating_sub(events_scale / 10),
@@ -664,10 +674,11 @@ busy {:.1} ms, parked {:.1} ms, occupancy {:.0}%",
 /// `scan-zone <FILE...>`: the GB-scale batch pipeline — streaming
 /// chunked reads on a reader thread, allocation-conscious line scan,
 /// consecutive + windowed owner dedup, blacklist suffix filtering, and
-/// occupancy-adaptive fan-out into the per-TLD router. Prints the
-/// per-TLD accounting table, the `records_accounted` identity and the
-/// scheduling ledger; `--metrics-json` writes the machine-readable
-/// document (same `exec`/`pool`/`per_tld` schema as `serve-feed`).
+/// fan-out into the per-TLD router in fixed `--batch`-sized lane
+/// flushes. Prints the per-TLD accounting table, the
+/// `records_accounted` identity and the scheduling ledger;
+/// `--metrics-json` writes the machine-readable document (same
+/// `exec`/`pool`/`per_tld` schema as `serve-feed`).
 fn cmd_scan_zone(args: &[String]) -> ExitCode {
     use shamfinder::core::scan::{tld_from_path, ScanConfig, ZoneScanner};
     use shamfinder::core::SessionRouter;
@@ -703,12 +714,9 @@ fn cmd_scan_zone(args: &[String]) -> ExitCode {
         return usage();
     }
 
-    let batch: usize =
-        flag_value(args, "--batch").and_then(|v| v.parse().ok()).unwrap_or(1024);
-    let window: usize =
-        flag_value(args, "--window").and_then(|v| v.parse().ok()).unwrap_or(8_192);
-    let chunk: usize =
-        flag_value(args, "--chunk").and_then(|v| v.parse().ok()).unwrap_or(1 << 20);
+    let batch: usize = num_flag(args, "--batch").unwrap_or(1024);
+    let window: usize = num_flag(args, "--window").unwrap_or(8_192);
+    let chunk: usize = num_flag(args, "--chunk").unwrap_or(1 << 20);
 
     let mut blacklists: Vec<Blacklist> = Vec::new();
     for w in args.windows(2) {
@@ -850,21 +858,21 @@ fn cmd_gen_zone(args: &[String]) -> ExitCode {
     };
     let mut cfg = ZoneGenConfig {
         tld: flag_value(args, "--tld").unwrap_or_else(|| "com".into()),
-        seed: flag_value(args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(11),
+        seed: num_flag(args, "--seed").unwrap_or(11),
         ..ZoneGenConfig::default()
     };
-    if let Some(mb) = flag_value(args, "--mb").and_then(|v| v.parse::<u64>().ok()) {
+    if let Some(mb) = num_flag::<u64>(args, "--mb") {
         cfg.target_bytes = mb << 20;
         cfg.target_records = 0;
     }
-    if let Some(n) = flag_value(args, "--records").and_then(|v| v.parse().ok()) {
+    if let Some(n) = num_flag(args, "--records") {
         cfg.target_records = n;
         cfg.target_bytes = 0;
     }
-    if let Some(p) = flag_value(args, "--malformed").and_then(|v| v.parse().ok()) {
+    if let Some(p) = num_flag(args, "--malformed") {
         cfg.malformed_permille = p;
     }
-    if let Some(p) = flag_value(args, "--homographs").and_then(|v| v.parse().ok()) {
+    if let Some(p) = num_flag(args, "--homographs") {
         cfg.homograph_permille = p;
     }
 

@@ -509,3 +509,53 @@ fn churn_storm_never_loses_a_wakeup() {
     assert_eq!(report.router, expected);
     assert_eq!(report.feeds[0].outcome, FeedOutcome::Completed);
 }
+
+/// Zero capacities clamp to one: a Block-policy service configured
+/// with `queue_capacity: 0` and `batch_capacity: 0` — where no push
+/// could ever fit and every flush would be empty — finishes with closed
+/// books and the report of the capacity-1 run.
+#[test]
+fn zero_capacities_run_like_capacity_one() {
+    let (index, events) = world();
+    let events: Vec<ZoneEvent> = events.iter().take(1_500).cloned().collect();
+    let expected = batch_replay(index, &events, 1);
+    let run = move |capacity: usize| {
+        let config = IngestConfig {
+            queue_capacity: capacity,
+            batch_capacity: capacity,
+            backpressure: Backpressure::Block,
+            retry: instant_retry(),
+            ..IngestConfig::default()
+        };
+        let stats = FeedStats::shared();
+        let feed = FaultyZoneFeed::new(
+            "tiny",
+            events.clone(),
+            FaultSchedule::none(),
+            Arc::clone(&stats),
+        );
+        let service = IngestService::new(Arc::clone(index), config);
+        let report = service.run(vec![Box::new(feed)]);
+        (report, stats.registrations.load(Ordering::Relaxed))
+    };
+
+    // On its own thread so a hang fails at the watchdog's limit
+    // instead of wedging the suite.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let run_zero = run.clone();
+    let zero = std::thread::spawn(move || {
+        let _ = done_tx.send(run_zero(0));
+    });
+    let (report, delivered) = done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("ingest hung on zero capacities");
+    zero.join()
+        .expect("the zero-capacity run finished without panicking");
+
+    assert_eq!(report.feeds[0].outcome, FeedOutcome::Completed);
+    assert_eq!((report.shed, report.lost), (0, 0));
+    assert_eq!(report.events_accounted(), delivered, "books must close");
+    let (one, _) = run(1);
+    assert_eq!(report.router, one.router, "0 must behave exactly like 1");
+    assert_eq!(report.router, expected);
+}
