@@ -1,6 +1,8 @@
 //! End-to-end batch zone scanning: file on disk → detections, through
-//! the full `ZoneScanner` pipeline (reader thread, recycled chunk
-//! buffers, SWAR line split, streaming parse, dedup, router batches,
+//! the full `ZoneScanner` pipeline — a reader thread that cuts recycled
+//! buffers at line starts and tracks `$ORIGIN`, one lexer thread per
+//! worker running `ZoneStreamParser` over whole chunks, and the in-order
+//! merge on the calling thread (seam settling, dedup, router batches,
 //! pooled detection).
 //!
 //! Two fixtures, both written by `sham_workload::write_synthetic_zone`
@@ -12,20 +14,19 @@
 //!   real snapshot runs; `--test` dry runs reuse the small fixture.
 //!
 //! The snapshot section `scan_zone` lands in `BENCH_detection.json`
-//! with both rates of record:
+//! with both rates of record, each timed over its own passes:
 //!
 //! * `scan_zone_end_to_end/threads_{n}_ops_per_sec` — records/sec;
-//! * `scan_zone_mb/threads_{n}_ops_per_sec` — MB/sec over the same
-//!   passes (derived from the measured record rate and the fixture's
-//!   exact bytes-per-record, so the two numbers can never disagree
-//!   about which run they describe).
+//! * `scan_zone_mb/threads_{n}_ops_per_sec` — MB/sec: the fixture's
+//!   bytes over the median pass time.
+//!
+//! At `n` threads the scan runs `n` lexer threads; the 1-thread entry
+//! still overlaps one lexer thread with the merge.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sham_bench::{measure_ops_per_sec, snapshot_samples, snapshot_thread_sweep};
 use sham_core::{DetectionIndex, ScanConfig, SessionRouter, ZoneScanner};
 use sham_workload::{reference_list, write_synthetic_zone, ZoneGenConfig, ZoneGenStats};
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -100,30 +101,18 @@ fn bench_scan_zone(c: &mut Criterion) {
         (path, stats)
     };
 
-    // records/sec measured; MB/sec derived from the same passes via the
-    // fixture's exact bytes-per-record ratio (no second scan).
-    let record_rates: RefCell<HashMap<usize, f64>> = RefCell::new(HashMap::new());
     snapshot_thread_sweep(
         "scan_zone",
         &["scan_zone_end_to_end", "scan_zone_mb"],
         |name| {
-            let threads = rayon::current_num_threads().max(1);
-            match name {
-                "scan_zone_end_to_end" => {
-                    let rate =
-                        measure_ops_per_sec(big.records as usize, snapshot_samples(), || {
-                            std::hint::black_box(scan_pass(&index, &big_path));
-                        });
-                    record_rates.borrow_mut().insert(threads, rate);
-                    rate
-                }
-                _ => {
-                    let bytes_per_record = big.bytes as f64 / big.records.max(1) as f64;
-                    record_rates.borrow().get(&threads).copied().unwrap_or(0.0)
-                        * bytes_per_record
-                        / 1e6
-                }
-            }
+            let (units, per_unit) = match name {
+                "scan_zone_end_to_end" => (big.records, 1.0),
+                _ => (big.bytes, 1e-6),
+            };
+            let rate = measure_ops_per_sec(units as usize, snapshot_samples(), || {
+                std::hint::black_box(scan_pass(&index, &big_path));
+            });
+            rate * per_unit
         },
     );
 

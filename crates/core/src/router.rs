@@ -400,10 +400,10 @@ impl SessionRouter {
     /// where a buffered name would have been discarded.
     ///
     /// The batch scanner routes every ASCII owner this way, so only
-    /// IDNs are ever cloned into a lane.
-    pub fn count_non_idn(&mut self, domain: &DomainName) {
-        debug_assert!(!domain.is_idn(), "{domain} is an IDN; route it with push_domains");
-        let Some(at) = self.route(domain.tld()) else { return };
+    /// IDNs are ever cloned into a lane. It passes the owner's TLD
+    /// (`DomainName::tld`), which is all routing reads.
+    pub fn count_non_idn(&mut self, tld: &str) {
+        let Some(at) = self.route(tld) else { return };
         let lane = &mut self.lanes[at];
         lane.session.count_non_idn();
         lane.since_flush += 1;
@@ -712,7 +712,7 @@ mod tests {
                 if domain.is_idn() {
                     counted.push_domains(std::iter::once(domain));
                 } else {
-                    counted.count_non_idn(domain);
+                    counted.count_non_idn(domain.tld());
                 }
             }
             let (pushed, counted) = (pushed.into_report(), counted.into_report());

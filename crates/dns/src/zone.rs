@@ -142,6 +142,70 @@ impl<'a> Iterator for AsciiTokens<'a> {
     }
 }
 
+/// A well-formed master-file directive, from [`directive`].
+enum Directive<'a> {
+    /// `$ORIGIN name`: the one name, its root dot(s) trimmed.
+    Origin(&'a str),
+    /// `$TTL value`: the value text, surrounding blanks trimmed.
+    Ttl(&'a str),
+}
+
+/// The one directive classifier, shared by the line machine and
+/// [`origin_directive`]. `line` has its comment stripped. A line
+/// whose first word is `$ORIGIN` or `$TTL` is a directive; `$ORIGIN`
+/// takes exactly one name. A first word that merely starts with a
+/// keyword (`$ORIGINAL`) is a malformed directive, not a record line.
+/// Returns `None` for every other line.
+fn directive(line: &str) -> Option<Result<Directive<'_>, String>> {
+    let (keyword, rest) = if let Some(rest) = line.strip_prefix("$ORIGIN") {
+        ("$ORIGIN", rest)
+    } else if let Some(rest) = line.strip_prefix("$TTL") {
+        ("$TTL", rest)
+    } else {
+        return None;
+    };
+    if !rest.is_empty() && !rest.starts_with(char::is_whitespace) {
+        let word = line.split(char::is_whitespace).next().unwrap_or(line);
+        return Some(Err(format!("unknown directive {word:?}")));
+    }
+    if keyword == "$TTL" {
+        return Some(Ok(Directive::Ttl(rest.trim())));
+    }
+    let mut names = rest.split_whitespace();
+    let name = names.next().map_or("", |n| n.trim_end_matches('.'));
+    Some(if name.is_empty() {
+        Err("$ORIGIN requires a name".to_string())
+    } else if names.next().is_some() {
+        Err("$ORIGIN takes exactly one name".to_string())
+    } else {
+        Ok(Directive::Origin(name))
+    })
+}
+
+/// The origin a raw zone line sets: `Some(name)` exactly when the line
+/// parser would take the line as a well-formed `$ORIGIN` directive
+/// (comment stripped, same classifier), with the name as the parser
+/// stores it. A reader can track the origin in force across a file
+/// with this without running the parser.
+///
+/// ```
+/// use sham_dns::zone::origin_directive;
+///
+/// assert_eq!(origin_directive("$ORIGIN example.com. ; zone"), Some("example.com"));
+/// assert_eq!(origin_directive("$ORIGINAL example."), None);
+/// assert_eq!(origin_directive("$ORIGIN foo bar."), None);
+/// assert_eq!(origin_directive(" $ORIGIN com."), None); // a continuation line
+/// ```
+pub fn origin_directive(raw: &str) -> Option<&str> {
+    match directive(strip_comment(raw)) {
+        Some(Ok(Directive::Origin(name))) => Some(name),
+        _ => None,
+    }
+}
+
+/// The message of a continuation line read while no owner is in force.
+pub const NO_PREVIOUS_OWNER: &str = "continuation line with no previous owner";
+
 struct LineParser {
     origin: String,
     default_ttl: u32,
@@ -158,6 +222,13 @@ struct LineParser {
     /// Reused landing slot for NS/CNAME/MX targets the scan path
     /// validates but never hands out.
     target: Option<DomainName>,
+    /// Set by [`ZoneStreamParser::resumed`]: the parser starts at a cut
+    /// in the middle of a file, where some owner may be in force that
+    /// it never saw. Until it resolves an owner of its own, continuation
+    /// lines are checked as if that owner were in force.
+    inherits_owner: bool,
+    /// Whether the line just scanned was such a continuation line.
+    inherited_line: bool,
 }
 
 impl LineParser {
@@ -169,13 +240,20 @@ impl LineParser {
             last_owner_token: String::new(),
             name_buf: String::new(),
             target: None,
+            inherits_owner: false,
+            inherited_line: false,
         }
     }
 
     /// Parses one data line (comments/blank already stripped). Returns
     /// `Ok(None)` for directives.
     fn parse_line(&mut self, line: &str, no: usize) -> Result<Option<ResourceRecord>, ZoneError> {
-        match self.scan_line(line, no, true)? {
+        let scanned = self.scan_line(line, no, true);
+        if self.inherited_line {
+            // The owner in force at a resume cut is not known here.
+            return Err(err(no, NO_PREVIOUS_OWNER));
+        }
+        match scanned? {
             None => Ok(None),
             Some((_, ttl, data)) => Ok(Some(ResourceRecord {
                 name: self
@@ -194,33 +272,35 @@ impl LineParser {
     /// messages) and tracks the owner state, but materialises
     /// [`RecordData`] only when `want_data` is set. Returns `None` for
     /// directives and `Some((owner_changed, ttl, data))` for records;
-    /// the resolved owner is left in `self.last_owner`.
+    /// the resolved owner is left in `self.last_owner`, and
+    /// `self.inherited_line` tells whether the line was a continuation
+    /// of an owner in force before a resume cut.
     fn scan_line(
         &mut self,
         line: &str,
         no: usize,
         want_data: bool,
     ) -> Result<Option<(bool, u32, Option<RecordData>)>, ZoneError> {
-        if let Some(rest) = line.strip_prefix("$ORIGIN") {
-            let token = rest.trim().trim_end_matches('.');
-            if token.is_empty() {
-                return Err(err(no, "$ORIGIN requires a name"));
+        self.inherited_line = false;
+        match directive(line) {
+            None => {}
+            Some(Err(message)) => return Err(err(no, message)),
+            Some(Ok(Directive::Origin(token))) => {
+                if token != self.origin {
+                    self.origin.clear();
+                    self.origin.push_str(token);
+                    // The cached owner token resolved against the old
+                    // origin; the same token now names a different owner.
+                    self.last_owner_token.clear();
+                }
+                return Ok(None);
             }
-            if token != self.origin {
-                self.origin.clear();
-                self.origin.push_str(token);
-                // The cached owner token resolved against the old
-                // origin; the same token now names a different owner.
-                self.last_owner_token.clear();
+            Some(Ok(Directive::Ttl(value))) => {
+                self.default_ttl = value
+                    .parse()
+                    .map_err(|e| err(no, format!("bad $TTL: {e}")))?;
+                return Ok(None);
             }
-            return Ok(None);
-        }
-        if let Some(rest) = line.strip_prefix("$TTL") {
-            self.default_ttl = rest
-                .trim()
-                .parse()
-                .map_err(|e| err(no, format!("bad $TTL: {e}")))?;
-            return Ok(None);
         }
 
         let starts_with_space = line.starts_with(' ') || line.starts_with('\t');
@@ -252,7 +332,10 @@ impl LineParser {
         // resolved into the retained name buffer.
         let owner_changed = if starts_with_space {
             if self.last_owner.is_none() {
-                return Err(err(no, "continuation line with no previous owner"));
+                if !self.inherits_owner {
+                    return Err(err(no, NO_PREVIOUS_OWNER));
+                }
+                self.inherited_line = true;
             }
             false
         } else {
@@ -366,6 +449,22 @@ pub enum ZoneScan<'a> {
     Skip,
 }
 
+/// What one line scanned by [`ZoneStreamParser::scan_resumed`] was.
+#[derive(Debug, PartialEq, Eq)]
+pub enum ResumedScan<'a> {
+    /// A line whose outcome this parser settles on its own: exactly
+    /// what [`ZoneStreamParser::scan_line`] returns for it.
+    Line(Result<ZoneScan<'a>, ZoneError>),
+    /// A continuation line read by a [resumed](ZoneStreamParser::resumed)
+    /// parser before it resolved an owner of its own. It belongs to
+    /// whatever owner was in force at the cut, which this parser never
+    /// saw. If one was, the line is a record of that owner (never a new
+    /// owner) when this is `Ok`, and malformed with this error when it
+    /// is `Err`. If none was, the line is malformed with
+    /// [`NO_PREVIOUS_OWNER`].
+    Inherited(Result<(), ZoneError>),
+}
+
 fn strip_comment(line: &str) -> &str {
     // Most lines hold no ';' at all, and then quotes cannot matter:
     // one memchr-backed probe settles them.
@@ -419,6 +518,27 @@ impl ZoneStreamParser {
         ZoneStreamParser { inner: LineParser::new(fallback_origin), line_no: 0 }
     }
 
+    /// A parser that starts at a line start in the middle of a file,
+    /// where `origin` is the origin in force (see [`origin_directive`]).
+    /// Line numbers count from the cut. Whether an owner is in force at
+    /// the cut is unknown: [`scan_resumed`](Self::scan_resumed) reports
+    /// the continuation lines that depend on it as
+    /// [`ResumedScan::Inherited`] until the parser resolves an owner of
+    /// its own; [`scan_line`](Self::scan_line) and
+    /// [`push_line`](Self::push_line) treat them as having no owner.
+    ///
+    /// A file split at line starts into pieces, each scanned by a
+    /// resumed parser, scans like the whole file: every line but the
+    /// inherited ones comes out the same, and the first owner line of a
+    /// piece is a new owner unless its token equals the
+    /// [`owner_token`](Self::owner_token) in force at the cut and no
+    /// `$ORIGIN` change precedes it in the piece.
+    pub fn resumed(origin: &str) -> Self {
+        let mut parser = Self::new(origin);
+        parser.inner.inherits_owner = true;
+        parser
+    }
+
     /// Consumes one raw line (comments and surrounding blank space
     /// included). Returns `Ok(Some(record))` for a data line,
     /// `Ok(None)` for directives, comments and blanks, and `Err` for a
@@ -445,14 +565,32 @@ impl ZoneStreamParser {
     /// CNAME and MX targets are validated into a reused slot.
     /// Rejected lines allocate their error message.
     pub fn scan_line(&mut self, raw: &str) -> Result<ZoneScan<'_>, ZoneError> {
+        let no = self.line_no + 1;
+        match self.scan_resumed(raw) {
+            ResumedScan::Line(scanned) => scanned,
+            ResumedScan::Inherited(_) => Err(err(no, NO_PREVIOUS_OWNER)),
+        }
+    }
+
+    /// Scans one raw line like [`scan_line`](Self::scan_line), but
+    /// reports a continuation line that depends on the owner in force
+    /// at a [`resumed`](Self::resumed) parser's cut as
+    /// [`ResumedScan::Inherited`] instead of settling it. A parser made
+    /// by [`new`](Self::new) never returns `Inherited`.
+    pub fn scan_resumed(&mut self, raw: &str) -> ResumedScan<'_> {
         self.line_no += 1;
         let line = strip_comment(raw);
         if line.trim().is_empty() {
-            return Ok(ZoneScan::Skip);
+            return ResumedScan::Line(Ok(ZoneScan::Skip));
         }
-        match self.inner.scan_line(line, self.line_no, false)? {
-            None => Ok(ZoneScan::Skip),
-            Some((new_owner, _ttl, _data)) => Ok(ZoneScan::Record {
+        let scanned = self.inner.scan_line(line, self.line_no, false);
+        if self.inner.inherited_line {
+            return ResumedScan::Inherited(scanned.map(|_| ()));
+        }
+        ResumedScan::Line(match scanned {
+            Err(e) => Err(e),
+            Ok(None) => Ok(ZoneScan::Skip),
+            Ok(Some((new_owner, _ttl, _data))) => Ok(ZoneScan::Record {
                 owner: self
                     .inner
                     .last_owner
@@ -460,7 +598,20 @@ impl ZoneStreamParser {
                     .expect("scan_line resolves an owner for every record line"),
                 new_owner,
             }),
-        }
+        })
+    }
+
+    /// Whether the parser has resolved an owner (a resumed parser's
+    /// inherited owner does not count).
+    pub fn has_owner(&self) -> bool {
+        self.inner.last_owner.is_some()
+    }
+
+    /// The owner token a record line must repeat to continue the
+    /// current owner without resolving it again; empty before the
+    /// first owner and after an `$ORIGIN` change.
+    pub fn owner_token(&self) -> &str {
+        &self.inner.last_owner_token
     }
 
     /// Lines consumed so far (1-based line number of the last push).
@@ -724,6 +875,55 @@ note IN TXT \"hello; world\"
         let zone = parse(text, "com").unwrap();
         assert_eq!(zone.records[0].name.as_ascii(), "shop.com");
         assert_eq!(zone.records[1].name.as_ascii(), "shop.net");
+    }
+
+    #[test]
+    fn directive_keywords_end_at_whitespace() {
+        // `$ORIGINAL` is not `$ORIGIN` plus `AL`: the line is quarantined
+        // and the origin stays, so `x` stays under `com`.
+        let text = "$ORIGINAL example.\nx IN A 192.0.2.1\n";
+        let (zone, errors) = parse_lenient(text, "com");
+        assert_eq!(errors.len(), 1);
+        assert_eq!(errors[0].message, "unknown directive \"$ORIGINAL\"");
+        assert_eq!(zone.records[0].name.as_ascii(), "x.com");
+        let (zone, errors) = parse_lenient("$ORIGIN foo bar.\nx IN A 192.0.2.1\n", "com");
+        assert_eq!(errors[0].message, "$ORIGIN takes exactly one name");
+        assert_eq!(zone.records[0].name.as_ascii(), "x.com");
+        assert!(parse("$TTLX 5\n", "com").is_err());
+        // Any whitespace ends the keyword, and a comment is no name.
+        assert_eq!(parse("$ORIGIN\tnet. ; c\n", "com").unwrap().origin, "net");
+        assert_eq!(parse("$TTL\u{a0}60\n", "com").unwrap().default_ttl, 60);
+        assert_eq!(origin_directive("$ORIGIN net.\r"), Some("net"));
+        assert_eq!(origin_directive("$ORIGIN ; none"), None);
+    }
+
+    #[test]
+    fn resumed_parser_defers_inherited_continuations() {
+        let mut p = ZoneStreamParser::resumed("com");
+        assert_eq!(
+            p.scan_resumed("\tIN A 192.0.2.1"),
+            ResumedScan::Inherited(Ok(()))
+        );
+        match p.scan_resumed(" IN A nope") {
+            ResumedScan::Inherited(Err(e)) => assert_eq!((e.line, e.message.starts_with("bad IPv4")), (2, true)),
+            other => panic!("expected an inherited error, got {other:?}"),
+        }
+        assert!(!p.has_owner());
+        // The first owner line resolves the parser's own owner; after
+        // it, continuation lines are its records.
+        match p.scan_resumed("shop IN A 192.0.2.1") {
+            ResumedScan::Line(Ok(ZoneScan::Record { owner, new_owner })) => {
+                assert_eq!((owner.as_ascii(), new_owner), ("shop.com", true));
+            }
+            other => panic!("expected a record, got {other:?}"),
+        }
+        assert_eq!(p.owner_token(), "shop");
+        assert!(matches!(p.scan_resumed("\tIN A 192.0.2.2"), ResumedScan::Line(Ok(_))));
+        // `scan_line` settles an inherited line as having no owner.
+        let mut q = ZoneStreamParser::resumed("com");
+        let e = q.scan_line("\tIN A 192.0.2.1").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (1, NO_PREVIOUS_OWNER));
+        assert!(q.push_line("\tIN A 192.0.2.1").is_err());
     }
 
     #[test]

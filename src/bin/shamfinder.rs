@@ -17,7 +17,7 @@
 //!                      [--blacklist FILE] [--batch N] [--window N]
 //!                      [--chunk BYTES] [--metrics-json FILE]
 //!                                                  batch-scan zone files (streaming,
-//!                                                  overlapped I/O, per-TLD metrics)
+//!                                                  parallel lexing, per-TLD metrics)
 //! shamfinder gen-zone <FILE> [--mb N | --records N] [--tld com] [--seed S]
 //!                     [--malformed PERMILLE] [--homographs PERMILLE]
 //!                                                  generate a synthetic zone file
@@ -671,11 +671,11 @@ busy {:.1} ms, parked {:.1} ms, occupancy {:.0}%",
     ExitCode::SUCCESS
 }
 
-/// `scan-zone <FILE...>`: the GB-scale batch pipeline — streaming
-/// chunked reads on a reader thread, allocation-conscious line scan,
-/// consecutive + windowed owner dedup, blacklist suffix filtering, and
-/// fan-out into the per-TLD router in fixed `--batch`-sized lane
-/// flushes. Prints the per-TLD accounting table, the
+/// `scan-zone <FILE...>`: the GB-scale batch pipeline — chunked reads
+/// cut at line starts on a reader thread, allocation-conscious lexing
+/// on one thread per worker, and an in-order merge doing consecutive +
+/// windowed owner dedup, blacklist suffix filtering, and fan-out into
+/// the per-TLD router in fixed `--batch`-sized lane flushes. Prints the per-TLD accounting table, the
 /// `records_accounted` identity and the scheduling ledger;
 /// `--metrics-json` writes the machine-readable document (same
 /// `exec`/`pool`/`per_tld` schema as `serve-feed`).

@@ -331,21 +331,32 @@ impl ReferenceLexer {
         if line.trim().is_empty() {
             return Ok(None);
         }
-        if let Some(rest) = line.strip_prefix("$ORIGIN") {
-            let token = rest.trim().trim_end_matches('.');
-            if token.is_empty() {
+        // A directive is a line whose first word is `$ORIGIN` or `$TTL`;
+        // a first word that only starts with one is malformed.
+        let word = line.split(char::is_whitespace).next().unwrap_or("");
+        let rest = &line[word.len()..];
+        if word == "$ORIGIN" {
+            let names: Vec<&str> = rest.split_whitespace().collect();
+            let name = names.first().map_or("", |n| n.trim_end_matches('.'));
+            if name.is_empty() {
                 return Err(self.err("$ORIGIN requires a name"));
             }
-            if token != self.origin {
-                self.origin = token.to_string();
+            if names.len() > 1 {
+                return Err(self.err("$ORIGIN takes exactly one name"));
+            }
+            if name != self.origin {
+                self.origin = name.to_string();
                 self.owner_token.clear();
             }
             return Ok(None);
         }
-        if let Some(rest) = line.strip_prefix("$TTL") {
+        if word == "$TTL" {
             self.default_ttl =
                 rest.trim().parse().map_err(|e| self.err(format!("bad $TTL: {e}")))?;
             return Ok(None);
+        }
+        if word.starts_with("$ORIGIN") || word.starts_with("$TTL") {
+            return Err(self.err(format!("unknown directive {word:?}")));
         }
         let mut tokens = line.split_whitespace().peekable();
         let changed = if line.starts_with(' ') || line.starts_with('\t') {
@@ -413,8 +424,9 @@ impl ReferenceLexer {
     }
 }
 
-/// A generated zone line covering the lexer's edge cases: directives,
-/// blanks, comments (and quoted `;`), continuation lines led by space
+/// A generated zone line covering the lexer's edge cases: directives
+/// (well-formed, with a name too many, or a keyword run into more
+/// letters such as `$ORIGINAL`), blanks, comments (and quoted `;`), continuation lines led by space
 /// or tab, owners led by VT/FF, fields separated by ASCII and Unicode
 /// whitespace, optional `+5`-style TTLs and classes, and rdata both
 /// valid and not.
@@ -422,8 +434,16 @@ fn zone_line(p: &mut Picks) -> String {
     const ASCII_SEPS: [&str; 7] = [" ", "\t", " \t ", "\u{0b}", "\u{0c}", "\r", "\t"];
     const UNICODE_SEPS: [&str; 4] = ["\u{a0}", "\u{2003}", "\u{3000}", "\u{85}"];
     match p.below(16) {
-        0 => format!("$ORIGIN {}", p.pick(&["com.", "Example.NET.", "", "org..", "xn--p1ai"])),
-        1 => format!("$TTL {}", p.pick(&["3600", "+5", "x", ""])),
+        0 => format!(
+            "{}{}",
+            p.pick(&["$ORIGIN ", "$ORIGIN\t", "$ORIGIN\u{a0}", "$ORIGINAL ", "$ORIGIN"]),
+            p.pick(&["com.", "Example.NET.", "", "org..", "xn--p1ai", "foo bar.", "example."])
+        ),
+        1 => format!(
+            "{}{}",
+            p.pick(&["$TTL ", "$TTL\t", "$TTLX ", "$TTL"]),
+            p.pick(&["3600", "+5", "x", "", "60 60"])
+        ),
         2 => p.pick(&["", "  \t", "\u{a0}", "; just a comment"]).to_string(),
         _ => {
             let mut fields: Vec<String> = Vec::new();

@@ -1,12 +1,16 @@
-//! scan-zone ≡ batch replay: the chunked, overlapped-I/O [`ZoneScanner`]
-//! over a generated multi-TLD zone must be *detection-identical* to an
+//! scan-zone ≡ batch replay: the chunk-parallel [`ZoneScanner`] over a
+//! generated multi-TLD zone must be *detection-identical* to an
 //! unchunked line-by-line replay through [`ZoneStreamParser::scan_line`]
 //! plus the same dedup/blacklist pre-stage feeding a plain
-//! [`SessionRouter`] — same router report, same per-TLD accounting —
-//! at every chunk size and thread count. Truncating the input at an
-//! arbitrary byte offset or corrupting a byte mid-stream must never
-//! panic and must keep the `records_accounted` books closed (and the
-//! two models still agree on the damaged input).
+//! [`SessionRouter`] — same router report, same per-TLD accounting,
+//! same quarantine samples — at every chunk size and thread count.
+//! Hostile layouts (mid-file `$ORIGIN` switches, continuation runs and
+//! single lines longer than a chunk, CRLF, invalid UTF-8, directive,
+//! comment and blank lines at the cuts) must not move a figure either.
+//! Truncating the input at an arbitrary byte offset or corrupting a
+//! byte mid-stream must never panic and must keep the
+//! `records_accounted` books closed (and the two models still agree on
+//! the damaged input).
 
 use proptest::prelude::*;
 use shamfinder::core::{
@@ -16,7 +20,17 @@ use shamfinder::dns::zone::{ZoneScan, ZoneStreamParser};
 use shamfinder::web::Blacklist;
 use shamfinder::workload::{reference_list, write_synthetic_zone, ZoneGenConfig};
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+
+/// Quarantine samples the scanner keeps (`ScanConfig::default()`).
+const SAMPLES: usize = 8;
+
+/// Serialises the tests that force a worker count: the override is
+/// process-wide, and each of them must scan at the count it set.
+fn forcing_threads() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Reference stems shared by the generator and the detection index, so
 /// the planted Cyrillic lookalikes are actually detectable.
@@ -87,6 +101,14 @@ fn router(lanes: Option<&[&str]>) -> SessionRouter {
     }
 }
 
+/// What the reference model expects of a scan.
+struct Replay {
+    router: RouterReport,
+    per_tld: BTreeMap<String, TldScanStats>,
+    /// The first [`SAMPLES`] quarantined lines, as `line N: message`.
+    samples: Vec<String>,
+}
+
 /// The reference model: one unchunked, single-threaded-I/O pass per
 /// file through `scan_line` with the identical dedup-window, blacklist
 /// and accounting rules, feeding the router domain by domain. Every
@@ -100,11 +122,17 @@ fn replay(
     dedup_window: usize,
     blacklists: &[Blacklist],
     lanes: Option<&[&str]>,
-) -> (RouterReport, BTreeMap<String, TldScanStats>) {
+) -> Replay {
     let mut router = router(lanes).with_batch_capacity(97);
     let mut per_tld: BTreeMap<String, TldScanStats> = BTreeMap::new();
     let mut window: VecDeque<String> = VecDeque::new();
     let mut window_set: HashSet<String> = HashSet::new();
+    let mut samples = Vec::new();
+    let mut sample = |line: usize, message: &str| {
+        if samples.len() < SAMPLES {
+            samples.push(format!("line {line}: {message}"));
+        }
+    };
 
     for (tld, data) in inputs {
         let stats = per_tld.entry(tld.to_string()).or_default();
@@ -120,13 +148,17 @@ fn replay(
                 Ok(t) => t,
                 Err(_) => {
                     stats.quarantined += 1;
+                    sample(parser.lines_seen() + 1, "invalid UTF-8");
                     let _ = parser.scan_line("");
                     continue;
                 }
             };
             match parser.scan_line(text) {
                 Ok(ZoneScan::Skip) => {}
-                Err(_) => stats.quarantined += 1,
+                Err(e) => {
+                    stats.quarantined += 1;
+                    sample(e.line, &e.message);
+                }
                 Ok(ZoneScan::Record { owner, new_owner }) => {
                     stats.records += 1;
                     if !new_owner {
@@ -147,7 +179,10 @@ fn replay(
                         window_set.insert(key.clone());
                         window.push_back(key);
                     }
-                    if blacklists.iter().any(|bl| bl.contains_suffix(owner.as_ascii())) {
+                    if blacklists
+                        .iter()
+                        .any(|bl| bl.contains_suffix(owner.as_ascii()))
+                    {
                         stats.blacklisted += 1;
                         continue;
                     }
@@ -157,7 +192,11 @@ fn replay(
             }
         }
     }
-    (router.into_report(), per_tld)
+    Replay {
+        router: router.into_report(),
+        per_tld,
+        samples,
+    }
 }
 
 /// Runs the real scanner over the same inputs.
@@ -184,17 +223,18 @@ fn scan(
 }
 
 /// Full-fidelity comparison: router reports equal, every per-TLD
-/// counter equal (elapsed time excepted), books closed on both sides.
-fn assert_equivalent(
-    report: &shamfinder::core::ScanReport,
-    expected_router: &RouterReport,
-    expected_tld: &BTreeMap<String, TldScanStats>,
-    context: &str,
-) {
+/// counter equal (elapsed time excepted), the same quarantine samples,
+/// books closed on both sides.
+fn assert_equivalent(report: &shamfinder::core::ScanReport, want: &Replay, context: &str) {
+    let expected_tld = &want.per_tld;
     report
         .verify_accounting()
         .unwrap_or_else(|e| panic!("{context}: {e}"));
-    assert_eq!(&report.router, expected_router, "{context}: detections diverged");
+    assert_eq!(report.router, want.router, "{context}: detections diverged");
+    assert_eq!(
+        report.quarantine_samples, want.samples,
+        "{context}: quarantine samples diverged"
+    );
     assert_eq!(
         report.per_tld.len(),
         expected_tld.len(),
@@ -238,9 +278,9 @@ proptest! {
             blacklists.push(bl);
         }
 
-        let (want_router, want_tld) = replay(&inputs, window, &blacklists, None);
+        let want = replay(&inputs, window, &blacklists, None);
         let report = scan(&inputs, chunk, window, blacklists, None);
-        assert_equivalent(&report, &want_router, &want_tld, "generated feed");
+        assert_equivalent(&report, &want, "generated feed");
 
         if blacklist_net == 1 {
             let net_stats = &report.per_tld["net"];
@@ -312,9 +352,9 @@ proptest! {
         let inputs: Vec<(&str, &[u8])> = vec![("com", &com), ("net", &net)];
         let lanes: Option<&[&str]> = if fixed_lanes { Some(&["com"]) } else { None };
 
-        let (want_router, want_tld) = replay(&inputs, window, &[], lanes);
+        let want = replay(&inputs, window, &[], lanes);
         let report = scan(&inputs, chunk, window, Vec::new(), lanes);
-        assert_equivalent(&report, &want_router, &want_tld, "reshaped feed");
+        assert_equivalent(&report, &want, "reshaped feed");
 
         // Every routed owner lands in a lane or in `unrouted`.
         let routed: u64 = report.per_tld.values().map(|s| s.routed).sum();
@@ -366,9 +406,9 @@ proptest! {
             }
         }
         let inputs: Vec<(&str, &[u8])> = vec![("com", &data)];
-        let (want_router, want_tld) = replay(&inputs, 64, &[], None);
+        let want = replay(&inputs, 64, &[], None);
         let report = scan(&inputs, chunk, 64, Vec::new(), None);
-        assert_equivalent(&report, &want_router, &want_tld, "damaged feed");
+        assert_equivalent(&report, &want, "damaged feed");
     }
 }
 
@@ -382,38 +422,342 @@ fn scan_is_thread_count_invariant_and_detects_plants() {
     let net = gen_zone("net", 12, 64 << 10, 50, 5);
     let inputs: Vec<(&str, &[u8])> = vec![("com", &com), ("net", &net)];
 
-    let (want_router, want_tld) = {
+    let _serial = forcing_threads();
+    let want = {
         let _one = rayon::ThreadOverride::new(1);
         replay(&inputs, 8_192, &[], None)
     };
     assert!(
-        want_router.detection_count() > 0,
+        want.router.detection_count() > 0,
         "generated corpus must be detection-rich"
+    );
+    assert_eq!(
+        want.samples.len(),
+        SAMPLES,
+        "the corpus has malformed lines to sample"
     );
 
     let hardware = std::thread::available_parallelism().map_or(2, |n| n.get().clamp(2, 4));
     for threads in [1usize, hardware] {
         let _forced = rayon::ThreadOverride::new(threads);
         let report = scan(&inputs, 1 << 16, 8_192, Vec::new(), None);
-        assert_equivalent(
-            &report,
-            &want_router,
-            &want_tld,
-            &format!("{threads} thread(s)"),
-        );
+        assert_equivalent(&report, &want, &format!("{threads} thread(s)"));
     }
 }
 
 /// An empty input file closes its books trivially and produces an
 /// all-zero ledger rather than a missing or phantom entry.
 #[test]
-fn empty_file_accounts_to_zero()  {
+fn empty_file_accounts_to_zero() {
     let inputs: Vec<(&str, &[u8])> = vec![("org", b"")];
-    let (want_router, want_tld) = replay(&inputs, 16, &[], None);
+    let want = replay(&inputs, 16, &[], None);
     let report = scan(&inputs, 4096, 16, Vec::new(), None);
-    assert_equivalent(&report, &want_router, &want_tld, "empty file");
+    assert_equivalent(&report, &want, "empty file");
     let mut org = report.per_tld["org"];
     org.elapsed_secs = 0.0;
     assert_eq!(org, TldScanStats::default());
     assert_eq!(report.files, 1);
+}
+
+/// A small xorshift generator for the hostile layouts.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as usize
+    }
+
+    fn pick<'a>(&mut self, pool: &[&'a str]) -> &'a str {
+        pool[self.below(pool.len())]
+    }
+}
+
+/// One piece of a hostile layout, each line ended by `\n` or `\r\n`.
+fn hostile_piece(rng: &mut Rng, out: &mut Vec<u8>) {
+    let crlf = rng.below(3) == 0;
+    let line = |out: &mut Vec<u8>, text: &[u8]| {
+        out.extend_from_slice(text);
+        out.extend_from_slice(if crlf { b"\r\n" } else { b"\n" });
+    };
+    match rng.below(12) {
+        // `$ORIGIN` switches, the same origin again, and malformed
+        // directives that must leave the origin alone.
+        0 => {
+            let directive = rng.pick(&[
+                "$ORIGIN net.",
+                "$ORIGIN com.",
+                "$ORIGIN com.",
+                "$ORIGIN sub.org.",
+                "$ORIGINAL example.",
+                "$ORIGIN foo bar.",
+                "$ORIGIN",
+                "$TTL 300",
+                "$TTLX 5",
+                " $ORIGIN net.",
+            ]);
+            line(out, directive.as_bytes());
+        }
+        // Comment and blank lines.
+        1 => line(
+            out,
+            rng.pick(&["; comment", "", "   ", "\t; indented", "$ORIGIN net. ; c"])
+                .as_bytes(),
+        ),
+        // A continuation run, often longer than a chunk, with origin
+        // switches inside it, often between two lines of one owner
+        // token: a chunk that resolves no owner of its own can still
+        // void the token in force.
+        2 => {
+            if rng.below(2) == 0 {
+                line(out, b"shop IN A 192.0.2.1");
+            }
+            for i in 0..1 + rng.below(400) {
+                let text = match rng.below(40) {
+                    0 | 1 => "\tIN A nope".to_string(),
+                    2 => "; between".to_string(),
+                    3 => rng.pick(&["$ORIGIN net.", "$ORIGIN com."]).to_string(),
+                    _ => format!("\tIN A 192.0.2.{}", i % 250),
+                };
+                line(out, text.as_bytes());
+            }
+            if rng.below(2) == 0 {
+                line(out, b"shop IN A 192.0.2.3");
+            }
+        }
+        // A single line longer than a chunk: a TXT record, a comment,
+        // or garbage.
+        3 => {
+            let long = "x".repeat(4096 + rng.below(8192));
+            let text = match rng.below(3) {
+                0 => format!("longtxt IN TXT \"{long}\""),
+                1 => format!("; {long}"),
+                _ => long,
+            };
+            line(out, text.as_bytes());
+        }
+        // Invalid UTF-8.
+        4 => line(out, b"bad\xff\xfe IN A 192.0.2.1"),
+        // An owner repeated over many lines, so cuts fall inside runs
+        // of one owner token.
+        5 => {
+            let owner = rng.pick(&["dup", "xn--ggle-55da", "DUP", "dup.net."]);
+            for _ in 0..1 + rng.below(60) {
+                line(out, format!("{owner} IN NS ns1.example.").as_bytes());
+            }
+        }
+        // A bad owner, and an owner whose rdata is bad, each followed
+        // by continuations.
+        6 => {
+            line(
+                out,
+                rng.pick(&["..bad.. IN A 192.0.2.1", "foo IN A nope"])
+                    .as_bytes(),
+            );
+            line(out, b"\tIN A 192.0.2.2");
+            line(out, b"foo IN NS ns.foo.com.");
+        }
+        // A token repeated across an origin change names a new owner.
+        7 => {
+            line(out, b"shop IN A 192.0.2.1");
+            line(out, rng.pick(&["$ORIGIN net.", "$ORIGIN com."]).as_bytes());
+            line(out, b"shop IN A 192.0.2.2");
+        }
+        // Ordinary records: plain and IDN owners, absolute and relative.
+        _ => {
+            let n = rng.below(1 << 20);
+            let owner = match rng.below(4) {
+                0 => format!("xn--80ak6aa92e{}", n % 7),
+                1 => format!("host{n}.org."),
+                _ => format!("host{n}"),
+            };
+            line(out, format!("{owner} IN A 192.0.2.{}", n % 250).as_bytes());
+        }
+    }
+}
+
+/// A hostile layout of at least `target` bytes. Some layouts open with
+/// a continuation line, which has no owner to continue.
+fn hostile_zone(seed: u64, target: usize) -> Vec<u8> {
+    let mut rng = Rng(seed | 1);
+    let mut out = Vec::new();
+    if rng.below(2) == 0 {
+        out.extend_from_slice(b"\tIN A 192.0.2.9\n");
+    }
+    while out.len() < target {
+        hostile_piece(&mut rng, &mut out);
+    }
+    out
+}
+
+/// Scans `inputs` at 1, 2 and 4 worker threads, each compared with the
+/// replay.
+fn assert_thread_counts_match(
+    inputs: &[(&str, &[u8])],
+    chunk: usize,
+    window: usize,
+    context: &str,
+) {
+    let want = replay(inputs, window, &[], None);
+    let _serial = forcing_threads();
+    for threads in [1, 2, 4] {
+        let _forced = rayon::ThreadOverride::new(threads);
+        let report = scan(inputs, chunk, window, Vec::new(), None);
+        assert_equivalent(
+            &report,
+            &want,
+            &format!("{context}, chunk {chunk}, {threads} thread(s)"),
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Hostile layouts — mid-file `$ORIGIN` switches, continuation runs
+    /// and single lines longer than a chunk, CRLF, invalid UTF-8, and
+    /// directive, comment and blank lines wherever the cuts fall —
+    /// scan to the replay's report, samples included, at 1, 2 and 4
+    /// worker threads.
+    #[test]
+    fn hostile_layouts_match_replay_at_any_thread_count(
+        seed in any::<u64>(),
+        chunk in 4096usize..9_000,
+        window in 0usize..64,
+    ) {
+        let com = hostile_zone(seed, 40 << 10);
+        let net = hostile_zone(!seed, 12 << 10);
+        let inputs: Vec<(&str, &[u8])> = vec![("com", &com), ("net", &net)];
+        assert_thread_counts_match(&inputs, chunk, window, "hostile layout");
+    }
+}
+
+/// Directive, comment, blank, CRLF, invalid-UTF-8 and continuation
+/// lines at every cut: a file of ordinary records up to byte ~4.1k,
+/// then a section of such lines. A chunk size equal to the offset just
+/// after a newline puts the first cut exactly there, so each line
+/// boundary of the section is a cut in turn.
+#[test]
+fn every_cut_in_a_section_of_special_lines() {
+    let mut data = Vec::new();
+    let mut i = 0;
+    while data.len() < 4_200 {
+        data.extend_from_slice(format!("filler{i} IN A 192.0.2.1\n").as_bytes());
+        i += 1;
+    }
+    let section_start = data.len();
+    for line in [
+        &b"$ORIGIN net."[..],
+        b"; comment",
+        b"",
+        b"keep IN A 192.0.2.1\r",
+        b"\tIN A 192.0.2.2",
+        b"  ",
+        b"$TTL 60",
+        b"keep IN NS ns.keep.net.",
+        b"$ORIGIN net.",
+        b"keep IN A 192.0.2.3",
+        b"\xff\xfe",
+        b"\tIN A 192.0.2.4\r",
+        b"$ORIGINAL x.",
+        b"keep IN A 192.0.2.5",
+        b"$ORIGIN com.",
+        b"keep IN A 192.0.2.6",
+        b"\tIN A nope",
+        b"xn--80ak6aa92e IN A 192.0.2.7",
+        b"; done",
+    ] {
+        data.extend_from_slice(line);
+        data.push(b'\n');
+    }
+    let section_end = data.len();
+    for k in 0..200 {
+        data.extend_from_slice(format!("tail{k} IN A 192.0.2.1\n").as_bytes());
+    }
+    let inputs: Vec<(&str, &[u8])> = vec![("com", &data)];
+    for cut in section_start..=section_end {
+        if data[cut - 1] == b'\n' {
+            assert_thread_counts_match(&inputs, cut, 32, "special-line section");
+        }
+    }
+}
+
+/// The facts that cross a cut, each carried over a chunk that resolves
+/// no owner of its own (a continuation run longer than a chunk): an
+/// owner token voided by an `$ORIGIN` change (also one that changes the
+/// origin and back), a token that survives, a run with no owner at all,
+/// and a run owned by a line quarantined after its owner resolved.
+#[test]
+fn seams_carry_across_chunks_without_owner_lines() {
+    let run = |out: &mut String, lines: usize, switch: &[&str]| {
+        for i in 0..lines {
+            if i == lines / 2 {
+                for directive in switch {
+                    out.push_str(directive);
+                    out.push('\n');
+                }
+            }
+            out.push_str(&format!("\tIN A 192.0.2.{}\n", i % 250));
+        }
+    };
+    let mut cases = Vec::new();
+    for switch in [
+        &["$ORIGIN net."][..],
+        &["$ORIGIN net.", "$ORIGIN com."],
+        &["; none"],
+        &["$ORIGIN com."],
+    ] {
+        let mut zone = String::from("$ORIGIN com.\nshop IN A 192.0.2.1\n");
+        run(&mut zone, 1_200, switch);
+        zone.push_str("shop IN A 192.0.2.2\nother IN A 192.0.2.3\n");
+        cases.push(zone);
+    }
+    let mut orphan = String::new();
+    run(&mut orphan, 1_200, &["$ORIGIN net."]);
+    orphan.push_str("shop IN A 192.0.2.2\n");
+    cases.push(orphan);
+    // An owner line quarantined for its rdata still sets the owner its
+    // continuations belong to.
+    let mut bad_rdata = String::from("foo IN A nope\n");
+    run(&mut bad_rdata, 1_200, &["; none"]);
+    bad_rdata.push_str("foo IN A 192.0.2.2\nbar IN A 192.0.2.3\n");
+    cases.push(bad_rdata);
+    for (i, zone) in cases.iter().enumerate() {
+        let inputs: Vec<(&str, &[u8])> = vec![("com", zone.as_bytes())];
+        for chunk in [4096, 5000, 7777] {
+            assert_thread_counts_match(&inputs, chunk, 16, &format!("seam case {i}"));
+        }
+    }
+}
+
+/// Chunks of many thousand owners: a lexer hands such a chunk to the
+/// merge in several outputs, and the pieces must join like one. The
+/// first quarantined lines come late in a chunk, in a later output.
+#[test]
+fn chunks_of_many_owners_match_replay() {
+    let mut zone = String::new();
+    for i in 0..30_000 {
+        match i % 97 {
+            0 => zone.push_str("$ORIGIN net.\n"),
+            1 => zone.push_str("$ORIGIN com.\n"),
+            2 if i > 6_000 => zone.push_str("broken IN A nope\n"),
+            3 => zone.push_str("\tIN A 192.0.2.9\n"),
+            _ => {}
+        }
+        let owner = if i % 50 == 0 {
+            format!("xn--80ak6aa92e{i}")
+        } else {
+            format!("o{i}")
+        };
+        zone.push_str(&format!("{owner} IN A 192.0.2.{}\n", i % 250));
+        if i % 7 == 0 {
+            zone.push_str(&format!("{owner} IN NS ns1.example.\n"));
+        }
+    }
+    let inputs: Vec<(&str, &[u8])> = vec![("com", zone.as_bytes())];
+    for chunk in [1 << 18, (1 << 18) + 4321] {
+        assert_thread_counts_match(&inputs, chunk, 64, "many owners per chunk");
+    }
 }
